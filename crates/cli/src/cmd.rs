@@ -866,8 +866,8 @@ pub fn sta(args: &[String]) -> CliResult {
     info!(
         Obs::current(),
         "{} gates, {} primary outputs; clock {} ns, {} MC samples/arc",
-        netlist.gates.len(),
-        netlist.outputs.len(),
+        netlist.topology.gates.len(),
+        netlist.topology.outputs.len(),
         sta_opts.clock,
         sta_opts.samples
     );

@@ -115,22 +115,7 @@ impl CsrGraph {
     ///
     /// [`SstaError::GraphCycle`] when the graph is not a DAG.
     pub fn from_graph(graph: &TimingGraph) -> Result<CsrGraph, SstaError> {
-        let edges = graph.edges();
-        let mut edge_from = Vec::with_capacity(edges.len());
-        let mut edge_to = Vec::with_capacity(edges.len());
-        let mut delays = Vec::with_capacity(edges.len());
-        for e in edges {
-            edge_from.push(e.from as u32);
-            edge_to.push(e.to as u32);
-            delays.push(e.delay.clone());
-        }
-        Self::build(
-            graph.node_count(),
-            edge_from,
-            edge_to,
-            delays,
-            graph.strategy(),
-        )
+        Self::try_from(graph.clone())
     }
 
     fn build(

@@ -91,15 +91,6 @@ impl TimingGraph {
         self.strategy
     }
 
-    /// Compiles this graph into its CSR/levelized form (see [`CsrGraph`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SstaError::GraphCycle`] on cyclic graphs.
-    pub fn csr(&self) -> Result<CsrGraph, SstaError> {
-        CsrGraph::from_graph(self)
-    }
-
     /// Adds a delay edge.
     ///
     /// # Errors
@@ -148,8 +139,8 @@ impl TimingGraph {
     /// Compiles the edge list to [`CsrGraph`] and runs the serial levelized
     /// propagation — O(V+E) instead of the old O(V·E) edge re-scan. For
     /// repeated propagations or parallel wavefronts, build the [`CsrGraph`]
-    /// once via [`TimingGraph::csr`] and call
-    /// [`CsrGraph::propagate`](crate::csr::CsrGraph::propagate) directly.
+    /// once ([`CsrGraph::try_from`]) and call [`CsrGraph::propagate`]
+    /// directly.
     ///
     /// # Errors
     ///
@@ -157,23 +148,11 @@ impl TimingGraph {
     /// [`SstaError::GraphCycle`] on cyclic graphs, plus any family/fit error
     /// from the statistical operators.
     pub fn arrival_times(&self, source: usize) -> Result<Vec<Option<TimingDist>>, SstaError> {
-        self.arrival_times_par(source, &Parallelism::serial())
-    }
-
-    /// [`arrival_times`](Self::arrival_times) with levelized parallel
-    /// wavefront propagation — bit-identical at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`arrival_times`](Self::arrival_times).
-    pub fn arrival_times_par(
-        &self,
-        source: usize,
-        par: &Parallelism,
-    ) -> Result<Vec<Option<TimingDist>>, SstaError> {
         let obs = lvf2_obs::Obs::current();
         let _span = obs.span("ssta.arrival_times");
-        Ok(self.csr()?.propagate(source, par)?.arrivals)
+        Ok(CsrGraph::from_graph(self)?
+            .propagate(source, &Parallelism::serial())?
+            .arrivals)
     }
 
     /// Serial reference propagation over the raw edge list — the
@@ -295,7 +274,9 @@ mod tests {
             Err(SstaError::BadNode { node: 2 })
         ));
         assert!(matches!(
-            g.arrival_times_par(7, &Parallelism::serial()),
+            CsrGraph::from_graph(&g)
+                .unwrap()
+                .propagate(7, &Parallelism::serial()),
             Err(SstaError::BadNode { node: 7 })
         ));
         assert!(matches!(
@@ -318,10 +299,11 @@ mod tests {
         g.add_edge(1, 4, nd(0.05)).unwrap();
         g.add_edge(4, 5, nd(0.22)).unwrap();
         let reference = g.arrival_times_reference(0).unwrap();
+        let csr = CsrGraph::from_graph(&g).unwrap();
         for threads in [1, 2, 8] {
             let par = Parallelism::auto().with_threads(threads);
             assert_eq!(
-                g.arrival_times_par(0, &par).unwrap(),
+                csr.propagate(0, &par).unwrap().arrivals,
                 reference,
                 "threads={threads}"
             );

@@ -19,9 +19,13 @@
 //! - [`csr::CsrGraph`]: the graph-scale engine — arena/CSR representation
 //!   with Kahn-levelized parallel wavefront propagation on `lvf2-parallel`,
 //!   bit-identical at any thread count (see `docs/SSTA.md`);
-//! - [`netlist::NetlistGen`] / [`netlist::parse_bench`]: the parameterized
-//!   random-netlist generator and the ISCAS-style `.bench` importer, both
-//!   loading through one [`netlist::Topology`] → [`TimingGraph`] path;
+//! - [`netlist::parse_netlist`] / [`netlist::parse_bench`] /
+//!   [`netlist::NetlistGen`]: the `.net` parser, the ISCAS-style `.bench`
+//!   importer and the parameterized random-netlist generator, all loading
+//!   through one [`netlist::Topology`] → [`TimingGraph`] path with either
+//!   synthetic or Monte-Carlo-characterized delays ([`netlist::run_sta`]);
+//! - [`slack`]: backward required-time propagation and violation
+//!   probabilities on a [`CsrGraph`];
 //! - [`golden`]: sample-level golden propagation;
 //! - [`circuits`]: the benchmark generators — FO4 inverter chain, the
 //!   16-bit carry adder critical path (≈30 FO4) and the 6-stage H-tree with
@@ -65,7 +69,7 @@ pub use dist::TimingDist;
 pub use error::SstaError;
 pub use graph::TimingGraph;
 pub use netlist::{
-    parse_bench, parse_netlist, run_sta, DelayFamily, LoadedGraph, Netlist, NetlistGen, StaOptions,
-    StaReport, SyntheticDelays, Topology,
+    parse_bench, parse_netlist, run_sta, DelayFamily, DelaySource, LoadedGraph, NamedTopology,
+    NetlistGen, StaOptions, StaReport, SyntheticDelays, Topology,
 };
 pub use reduce::ReductionStrategy;

@@ -1,7 +1,13 @@
-//! Gate-level netlist frontend: parse a simple structural netlist, build the
-//! timing graph from the synthetic cell library, and run the full
-//! LVF-vs-LVF² SSTA comparison on it — the entry point for analysing *your*
-//! circuit rather than the built-in benchmarks.
+//! Gate-level netlists as integer-indexed [`Topology`]s, the one loader
+//! that elaborates a topology into a [`TimingGraph`], and the LVF-vs-LVF²
+//! comparison ([`run_sta`]) on *your* circuit rather than the built-in
+//! benchmarks.
+//!
+//! Three producers build a [`Topology`]: [`parse_netlist`] (the `.net`
+//! format below), [`parse_bench`] (ISCAS-85/89 `.bench`) and the random
+//! generator [`NetlistGen`]. Two [`DelaySource`]s feed the loader
+//! ([`Topology::timing_graph`]): the seeded [`SyntheticDelays`], and the
+//! per-pin Monte-Carlo characterization [`run_sta`] performs.
 //!
 //! # Netlist format
 //!
@@ -17,77 +23,24 @@
 //! gate   u5 NAND2 t2 t3  COUT
 //! ```
 //!
-//! Each `gate` line is `instance cell_type input_nets… output_net`. Gate
-//! delays are Monte-Carlo characterized on the fly (per-pin arcs from the
-//! library, load from the output net's fanout) and fitted with both the LVF
-//! and LVF² families.
+//! Each `gate` line is `instance cell_type input_nets… output_net`; a net
+//! may be used before the line that drives it. Primary inputs take node
+//! ids `0..n` and gate `g` (file order) drives node `n + g`, as in
+//! [`parse_bench`].
 
 use std::collections::HashMap;
 
 use lvf2_cells::{CellLibrary, CellType, TimingArcSpec};
 use lvf2_fit::{fit_lvf, fit_lvf2, FitConfig};
 use lvf2_mc::{McEngine, VariationSpace};
-use lvf2_parallel::chunk_seed;
+use lvf2_parallel::{chunk_seed, Parallelism};
 
+use crate::csr::CsrGraph;
 use crate::dist::TimingDist;
 use crate::error::SstaError;
+use crate::golden::propagate_samples;
 use crate::graph::TimingGraph;
 use crate::slack::slack_analysis;
-
-/// One gate instance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Gate {
-    /// Instance name (`u1`).
-    pub name: String,
-    /// Library cell type.
-    pub cell: CellType,
-    /// Input net names, in pin order.
-    pub inputs: Vec<String>,
-    /// Output net name.
-    pub output: String,
-}
-
-/// A parsed structural netlist.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Netlist {
-    /// Primary inputs.
-    pub inputs: Vec<String>,
-    /// Primary outputs.
-    pub outputs: Vec<String>,
-    /// Gate instances, in file order.
-    pub gates: Vec<Gate>,
-}
-
-impl Netlist {
-    /// All net names (inputs + every gate output), deduplicated, file order.
-    pub fn nets(&self) -> Vec<String> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for n in self
-            .inputs
-            .iter()
-            .chain(self.gates.iter().map(|g| &g.output))
-        {
-            if seen.insert(n.clone()) {
-                out.push(n.clone());
-            }
-        }
-        out
-    }
-
-    /// Fanout count of a net (number of gate inputs it drives; primary
-    /// outputs count once).
-    pub fn fanout(&self, net: &str) -> usize {
-        let gate_loads = self
-            .gates
-            .iter()
-            .flat_map(|g| &g.inputs)
-            .filter(|i| i.as_str() == net)
-            .count();
-        let po = usize::from(self.outputs.iter().any(|o| o == net));
-        (gate_loads + po).max(1)
-    }
-}
 
 fn parse_err(line: usize, message: impl Into<String>) -> SstaError {
     SstaError::Netlist {
@@ -96,29 +49,96 @@ fn parse_err(line: usize, message: impl Into<String>) -> SstaError {
     }
 }
 
+/// Name → node-id resolution shared by the text front-ends. Every signal is
+/// defined before any is resolved, so files may use a signal before the
+/// line that defines it.
+#[derive(Default)]
+struct Resolver<'a> {
+    ids: HashMap<&'a str, u32>,
+}
+
+impl<'a> Resolver<'a> {
+    /// Binds signal `name`, defined on `line`, to node `id`.
+    fn define(&mut self, line: usize, name: &'a str, id: usize) -> Result<(), SstaError> {
+        if self.ids.insert(name, id as u32).is_some() {
+            return Err(parse_err(line, format!("signal `{name}` defined twice")));
+        }
+        Ok(())
+    }
+
+    /// Node id of signal `name`, read on `line`.
+    fn id(&self, line: usize, name: &str) -> Result<u32, SstaError> {
+        let undefined = || parse_err(line, format!("undefined signal `{name}`"));
+        self.ids.get(name).copied().ok_or_else(undefined)
+    }
+
+    /// Node ids of the `(line, name)` signals.
+    fn ids(&self, names: &[(usize, &str)]) -> Result<Vec<u32>, SstaError> {
+        names
+            .iter()
+            .map(|&(line, name)| self.id(line, name))
+            .collect()
+    }
+}
+
+/// Rejects a gate `what` whose fan-in count differs from its cell's arity.
+fn check_arity(
+    line: usize,
+    what: impl std::fmt::Display,
+    cell: CellType,
+    got: usize,
+) -> Result<(), SstaError> {
+    if got == cell.input_count() {
+        return Ok(());
+    }
+    Err(parse_err(
+        line,
+        format!(
+            "{what}: {} takes {} inputs, got {got}",
+            cell.name(),
+            cell.input_count()
+        ),
+    ))
+}
+
+/// A [`Topology`] parsed from a `.net` file, with the net name of each
+/// primary output.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NamedTopology {
+    /// The gate-level topology.
+    pub topology: Topology,
+    /// `output_names[i]` names the net of `topology.outputs[i]`.
+    pub output_names: Vec<String>,
+}
+
 /// Parses the netlist format described in the module docs.
 ///
 /// # Errors
 ///
-/// [`SstaError::Netlist`] with a line number for unknown cells, arity
-/// mismatches, undriven nets, or duplicate drivers.
-pub fn parse_netlist(text: &str) -> Result<Netlist, SstaError> {
-    let mut nl = Netlist::default();
+/// [`SstaError::Netlist`] with a line number for unknown directives or
+/// cells, arity mismatches, signals defined twice, and references to
+/// undriven nets.
+pub fn parse_netlist(text: &str) -> Result<NamedTopology, SstaError> {
+    struct GateLine<'a> {
+        line: usize,
+        cell: CellType,
+        inputs: Vec<&'a str>,
+        output: &'a str,
+    }
+    let mut inputs: Vec<(usize, &str)> = Vec::new();
+    let mut outputs: Vec<(usize, &str)> = Vec::new();
+    let mut gates: Vec<GateLine<'_>> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut toks = line.split_whitespace();
+        let mut toks = raw.split('#').next().unwrap_or("").split_whitespace();
         match toks.next() {
-            Some("input") => nl.inputs.extend(toks.map(String::from)),
-            Some("output") => nl.outputs.extend(toks.map(String::from)),
+            None => continue,
+            Some("input") => inputs.extend(toks.map(|t| (line_no, t))),
+            Some("output") => outputs.extend(toks.map(|t| (line_no, t))),
             Some("gate") => {
                 let name = toks
                     .next()
-                    .ok_or_else(|| parse_err(line_no, "gate needs an instance name"))?
-                    .to_string();
+                    .ok_or_else(|| parse_err(line_no, "gate needs an instance name"))?;
                 let cell_name = toks
                     .next()
                     .ok_or_else(|| parse_err(line_no, "gate needs a cell type"))?;
@@ -127,59 +147,51 @@ pub fn parse_netlist(text: &str) -> Result<Netlist, SstaError> {
                     .copied()
                     .find(|c| c.name().eq_ignore_ascii_case(cell_name))
                     .ok_or_else(|| parse_err(line_no, format!("unknown cell `{cell_name}`")))?;
-                let mut nets: Vec<String> = toks.map(String::from).collect();
-                let output = nets
+                let mut inputs: Vec<&str> = toks.collect();
+                let output = inputs
                     .pop()
                     .ok_or_else(|| parse_err(line_no, "gate needs nets"))?;
-                if nets.len() != cell.input_count() {
-                    return Err(parse_err(
-                        line_no,
-                        format!(
-                            "{} takes {} inputs, got {}",
-                            cell.name(),
-                            cell.input_count(),
-                            nets.len()
-                        ),
-                    ));
-                }
-                nl.gates.push(Gate {
-                    name,
+                check_arity(line_no, name, cell, inputs.len())?;
+                gates.push(GateLine {
+                    line: line_no,
                     cell,
-                    inputs: nets,
+                    inputs,
                     output,
                 });
             }
             Some(other) => return Err(parse_err(line_no, format!("unknown directive `{other}`"))),
-            None => unreachable!("empty lines were skipped"),
         }
     }
-    // Semantic checks: single driver per net, all gate inputs driven.
-    let mut driven: std::collections::HashSet<&str> =
-        nl.inputs.iter().map(String::as_str).collect();
-    for (gi, g) in nl.gates.iter().enumerate() {
-        if !driven.insert(&g.output) {
-            return Err(parse_err(
-                0,
-                format!("net `{}` has multiple drivers (gate {})", g.output, gi),
-            ));
-        }
+
+    let n_inputs = inputs.len();
+    let mut names = Resolver::default();
+    for (i, &(line, name)) in inputs.iter().enumerate() {
+        names.define(line, name, i)?;
     }
-    for g in &nl.gates {
-        for i in &g.inputs {
-            if !driven.contains(i.as_str()) {
-                return Err(parse_err(
-                    0,
-                    format!("net `{i}` (input of {}) is undriven", g.name),
-                ));
-            }
-        }
+    for (g, gate) in gates.iter().enumerate() {
+        names.define(gate.line, gate.output, n_inputs + g)?;
     }
-    for o in &nl.outputs {
-        if !driven.contains(o.as_str()) {
-            return Err(parse_err(0, format!("primary output `{o}` is undriven")));
-        }
-    }
-    Ok(nl)
+    let topo_gates = gates
+        .iter()
+        .map(|g| {
+            Ok(TopoGate {
+                cell: g.cell,
+                fanin: g
+                    .inputs
+                    .iter()
+                    .map(|n| names.id(g.line, n))
+                    .collect::<Result<_, _>>()?,
+            })
+        })
+        .collect::<Result<_, SstaError>>()?;
+    Ok(NamedTopology {
+        topology: Topology {
+            n_inputs,
+            gates: topo_gates,
+            outputs: names.ids(&outputs)?,
+        },
+        output_names: outputs.iter().map(|&(_, name)| name.to_string()).collect(),
+    })
 }
 
 /// Options for [`run_sta`].
@@ -232,92 +244,107 @@ pub struct StaReport {
     pub golden_violation: Vec<(String, f64)>,
 }
 
+/// One characterized gate pin: its Monte-Carlo delay samples and both fits.
+struct PinArc {
+    samples: Vec<f64>,
+    lvf: TimingDist,
+    lvf2: TimingDist,
+}
+
+/// The [`DelaySource`] of [`run_sta`]: characterized pins, indexed
+/// `[gate][pin]`, in one model family.
+struct Characterized<'a> {
+    family: DelayFamily,
+    pins: &'a [Vec<PinArc>],
+}
+
+impl DelaySource for Characterized<'_> {
+    fn source_delay(&self) -> Result<TimingDist, SstaError> {
+        zero_delay(self.family)
+    }
+
+    fn gate_delay(&self, gate: usize, pin: usize, _: CellType) -> Result<TimingDist, SstaError> {
+        let arc = &self.pins[gate][pin];
+        Ok(match self.family {
+            DelayFamily::Lvf2 => arc.lvf2.clone(),
+            _ => arc.lvf.clone(),
+        })
+    }
+}
+
 /// Runs block-based SSTA on a netlist with both LVF and LVF² gate models,
 /// plus a sample-level golden propagation for reference.
 ///
+/// Each gate pin is characterized once: its rise arc is Monte-Carlo
+/// simulated at the output's load (fanout count × input capacitance) and
+/// fitted with both families. Both graphs load through
+/// [`Topology::timing_graph`] and propagate on the [`CsrGraph`] engine.
+///
 /// # Errors
 ///
-/// Propagates netlist/graph/fit errors.
-pub fn run_sta(netlist: &Netlist, opts: &StaOptions) -> Result<StaReport, SstaError> {
+/// Propagates netlist/graph/fit errors; [`SstaError::GraphCycle`] for a
+/// combinational loop.
+pub fn run_sta(netlist: &NamedTopology, opts: &StaOptions) -> Result<StaReport, SstaError> {
     let obs = lvf2_obs::Obs::current();
     let _span = obs.span("ssta.run_sta");
-    obs.inc("ssta.gates", netlist.gates.len() as u64);
+    let topo = &netlist.topology;
+    obs.inc("ssta.gates", topo.gates.len() as u64);
     let lib = CellLibrary::tsmc22_like();
-    let nets = netlist.nets();
-    let index: HashMap<&str, usize> = nets
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), i + 1))
-        .collect();
-    let source = 0usize; // virtual source, node ids shift by 1
-    let n_nodes = nets.len() + 1;
 
-    let mut g_lvf = TimingGraph::new(n_nodes);
-    let mut g_lvf2 = TimingGraph::new(n_nodes);
-    // Golden: per-edge sample vectors, propagated by sum/max on node vectors.
-    let mut golden: Vec<Option<Vec<f64>>> = vec![None; n_nodes];
-
-    // Virtual source → primary inputs with (numerically) zero delay, in the
-    // matching family so the in-family sum/max operators apply.
-    let zero_sn = lvf2_stats::SkewNormal::new(1e-9, 1e-12, 0.0)?;
-    for pi in &netlist.inputs {
-        let node = index[pi.as_str()];
-        g_lvf.add_edge(source, node, TimingDist::Lvf(zero_sn))?;
-        g_lvf2.add_edge(
-            source,
-            node,
-            TimingDist::Lvf2(lvf2_stats::Lvf2::from_lvf(zero_sn)),
-        )?;
-        golden[node] = Some(vec![0.0; opts.samples]);
-    }
-
-    // Gates in file order; the netlist is structural so a gate's inputs may
-    // be defined later — process in topological order over nets instead.
-    let order = topo_gate_order(netlist)?;
-    for &gi in &order {
-        let gate = &netlist.gates[gi];
-        let out_node = index[gate.output.as_str()];
-        let load = netlist.fanout(&gate.output) as f64 * lib.input_cap(gate.cell, 1);
-        for (pin, input) in gate.inputs.iter().enumerate() {
-            let in_node = index[input.as_str()];
-            // Per-pin arc: rise arc of this pin (arc index = 2·pin), with a
-            // per-instance seed so identical cells differ like real layout.
-            let arc_index = (2 * pin) % gate.cell.paper_arc_count();
-            let spec = TimingArcSpec::of(gate.cell, arc_index);
-            let arc = spec.synthesize();
-            let seed = opts.seed ^ spec.mc_seed() ^ ((gi as u64) << 17) ^ (pin as u64);
-            let engine = McEngine::new(VariationSpace::tt_22nm(), opts.samples, seed);
-            let r = engine.simulate(&arc, opts.slew, load);
-
-            let lvf = TimingDist::Lvf(fit_lvf(&r.delays, &opts.fit)?.model);
-            let lvf2 = TimingDist::Lvf2(fit_lvf2(&r.delays, &opts.fit)?.model);
-            g_lvf.add_edge(in_node, out_node, lvf)?;
-            g_lvf2.add_edge(in_node, out_node, lvf2)?;
-
-            // Golden: arrival(out) = max(arrival(out), arrival(in) + delays).
-            let in_samples = golden[in_node]
-                .clone()
-                .expect("topological order guarantees inputs");
-            let through: Vec<f64> = in_samples
-                .iter()
-                .zip(&r.delays)
-                .map(|(a, d)| a + d)
-                .collect();
-            golden[out_node] = Some(match golden[out_node].take() {
-                Some(existing) => crate::golden::max_samples(&existing, &through),
-                None => through,
-            });
+    // Fanout per node: gate pins it drives, plus one if it is a primary
+    // output (however often listed). Out-of-range ids are left for the
+    // loader to report.
+    let mut outputs = topo.outputs.clone();
+    outputs.sort_unstable();
+    outputs.dedup();
+    let mut fanout = vec![0usize; topo.node_count()];
+    for &n in topo.gates.iter().flat_map(|g| &g.fanin).chain(&outputs) {
+        if let Some(count) = fanout.get_mut(n as usize) {
+            *count += 1;
         }
     }
 
-    let report_for = |graph: &TimingGraph| -> Result<Vec<OutputTiming>, SstaError> {
-        let slacks = slack_analysis(graph, source, opts.clock)?;
-        let arrivals = graph.arrival_times(source)?;
-        netlist
-            .outputs
+    let pins = topo
+        .gates
+        .iter()
+        .enumerate()
+        .map(|(g, gate)| {
+            let load = fanout[topo.n_inputs + g].max(1) as f64 * lib.input_cap(gate.cell, 1);
+            (0..gate.fanin.len())
+                .map(|pin| {
+                    // Rise arc of this pin (arc index 2·pin), seeded per
+                    // instance so identical cells differ like real layout.
+                    let spec =
+                        TimingArcSpec::of(gate.cell, (2 * pin) % gate.cell.paper_arc_count());
+                    let seed = opts.seed ^ spec.mc_seed() ^ ((g as u64) << 17) ^ (pin as u64);
+                    let samples = McEngine::new(VariationSpace::tt_22nm(), opts.samples, seed)
+                        .simulate(&spec.synthesize(), opts.slew, load)
+                        .delays;
+                    Ok(PinArc {
+                        lvf: TimingDist::Lvf(fit_lvf(&samples, &opts.fit)?.model),
+                        lvf2: TimingDist::Lvf2(fit_lvf2(&samples, &opts.fit)?.model),
+                        samples,
+                    })
+                })
+                .collect::<Result<Vec<_>, SstaError>>()
+        })
+        .collect::<Result<Vec<_>, SstaError>>()?;
+
+    let analyse = |family| -> Result<(CsrGraph, Vec<usize>, Vec<OutputTiming>), SstaError> {
+        let loaded = topo.timing_graph(&Characterized {
+            family,
+            pins: &pins,
+        })?;
+        let csr = CsrGraph::try_from(loaded.graph)?;
+        let arrivals = csr
+            .propagate(loaded.source, &Parallelism::serial())?
+            .arrivals;
+        let slacks = slack_analysis(&csr, &arrivals, opts.clock)?;
+        let outputs = loaded
+            .sinks
             .iter()
-            .map(|net| {
-                let node = index[net.as_str()];
+            .zip(&netlist.output_names)
+            .map(|(&node, net)| {
                 let arrival = arrivals[node]
                     .clone()
                     .ok_or_else(|| parse_err(0, format!("output `{net}` unreachable")))?;
@@ -327,15 +354,24 @@ pub fn run_sta(netlist: &Netlist, opts: &StaOptions) -> Result<StaReport, SstaEr
                     violation_probability: slacks[node].violation_probability,
                 })
             })
-            .collect()
+            .collect::<Result<_, SstaError>>()?;
+        Ok((csr, loaded.sinks, outputs))
     };
+    let (csr, sinks, lvf) = analyse(DelayFamily::Lvf)?;
+    let (_, _, lvf2) = analyse(DelayFamily::Lvf2)?;
 
-    let golden_violation = netlist
-        .outputs
+    // Golden: the same per-pin samples on the same edges, in loader order
+    // (virtual-source edges first, then gate by gate, pin by pin).
+    let zeros = vec![0.0; opts.samples];
+    let edge_samples: Vec<&[f64]> = std::iter::repeat_n(zeros.as_slice(), topo.n_inputs)
+        .chain(pins.iter().flatten().map(|p| p.samples.as_slice()))
+        .collect();
+    let golden = propagate_samples(&csr, 0, &edge_samples);
+    let golden_violation = sinks
         .iter()
-        .map(|net| {
-            let node = index[net.as_str()];
-            let samples = golden[node].as_ref().expect("outputs are driven");
+        .zip(&netlist.output_names)
+        .map(|(&node, net)| {
+            let samples = golden[node].as_ref().expect("outputs are reachable");
             let p =
                 samples.iter().filter(|&&t| t > opts.clock).count() as f64 / samples.len() as f64;
             (net.clone(), p)
@@ -343,52 +379,10 @@ pub fn run_sta(netlist: &Netlist, opts: &StaOptions) -> Result<StaReport, SstaEr
         .collect();
 
     Ok(StaReport {
-        lvf: report_for(&g_lvf)?,
-        lvf2: report_for(&g_lvf2)?,
+        lvf,
+        lvf2,
         golden_violation,
     })
-}
-
-/// Topological order of gate indices (a gate is ready when all its input
-/// nets are driven).
-fn topo_gate_order(netlist: &Netlist) -> Result<Vec<usize>, SstaError> {
-    let mut driven: std::collections::HashSet<&str> =
-        netlist.inputs.iter().map(String::as_str).collect();
-    let mut remaining: Vec<usize> = (0..netlist.gates.len()).collect();
-    let mut order = Vec::with_capacity(remaining.len());
-    while !remaining.is_empty() {
-        let before = remaining.len();
-        remaining.retain(|&gi| {
-            let g = &netlist.gates[gi];
-            if g.inputs.iter().all(|i| driven.contains(i.as_str())) {
-                order.push(gi);
-                false
-            } else {
-                true
-            }
-        });
-        for &gi in &order[order.len() - (before - remaining.len())..] {
-            driven.insert(&netlist.gates[gi].output);
-        }
-        if remaining.len() == before {
-            return Err(SstaError::GraphCycle);
-        }
-    }
-    Ok(order)
-}
-
-/// A ready-made full-adder netlist (the module-docs example).
-pub fn full_adder_netlist() -> Netlist {
-    parse_netlist(
-        "input  A B CIN\n\
-         output SUM COUT\n\
-         gate u1 XOR2  A  B   t1\n\
-         gate u2 XOR2  t1 CIN SUM\n\
-         gate u3 NAND2 A  B   t2\n\
-         gate u4 NAND2 t1 CIN t3\n\
-         gate u5 NAND2 t2 t3  COUT\n",
-    )
-    .expect("built-in netlist is valid")
 }
 
 // ---------------------------------------------------------------------------
@@ -407,14 +401,14 @@ pub struct TopoGate {
 }
 
 /// An integer-indexed gate-level topology — the common product of the
-/// random-netlist generator ([`NetlistGen`]) and the ISCAS-style `.bench`
-/// importer ([`parse_bench`]), consumed by the one shared loader
-/// ([`Topology::timing_graph`]).
+/// `.net` parser ([`parse_netlist`]), the ISCAS-style `.bench` importer
+/// ([`parse_bench`]) and the random-netlist generator ([`NetlistGen`]),
+/// consumed by the one shared loader ([`Topology::timing_graph`]).
 ///
 /// Node numbering: primary inputs are `0..n_inputs`; gate `g` drives node
-/// `n_inputs + g`. No strings, no hash maps — at 10⁶ gates the name-based
-/// [`Netlist`] representation would cost hundreds of MB before the first
-/// edge is propagated.
+/// `n_inputs + g`. No strings, no hash maps — at 10⁶ gates a name-based
+/// representation would cost hundreds of MB before the first edge is
+/// propagated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     /// Number of primary inputs.
@@ -438,8 +432,8 @@ impl Topology {
         self.n_inputs + self.gates.iter().map(|g| g.fanin.len()).sum::<usize>()
     }
 
-    /// Builds the timing graph with synthetic per-edge delays — the shared
-    /// loader both the generator and the `.bench` importer feed.
+    /// Builds the timing graph with per-edge delays from `delays` — the one
+    /// loader every topology producer feeds.
     ///
     /// Node `0` is a virtual source; topology node `k` becomes graph node
     /// `k + 1`. Each primary input hangs off the source with a numerically
@@ -450,26 +444,15 @@ impl Topology {
     ///
     /// [`SstaError::Netlist`] when a gate references a node id outside the
     /// topology or a gate's fan-in count differs from its cell's arity;
-    /// stats errors if a synthetic delay is degenerate (never, for the
-    /// built-in models).
-    pub fn timing_graph(&self, delays: &SyntheticDelays) -> Result<LoadedGraph, SstaError> {
+    /// any error of the delay source.
+    pub fn timing_graph(&self, delays: &impl DelaySource) -> Result<LoadedGraph, SstaError> {
         let n_nodes = self.node_count();
         let mut graph = TimingGraph::new(n_nodes + 1);
         for pi in 0..self.n_inputs {
             graph.add_edge(0, pi + 1, delays.source_delay()?)?;
         }
         for (g, gate) in self.gates.iter().enumerate() {
-            if gate.fanin.len() != gate.cell.input_count() {
-                return Err(parse_err(
-                    0,
-                    format!(
-                        "gate {g}: {} takes {} inputs, got {}",
-                        gate.cell.name(),
-                        gate.cell.input_count(),
-                        gate.fanin.len()
-                    ),
-                ));
-            }
+            check_arity(0, format_args!("gate {g}"), gate.cell, gate.fanin.len())?;
             let out = self.n_inputs + g + 1;
             for (pin, &src) in gate.fanin.iter().enumerate() {
                 if src as usize >= n_nodes {
@@ -529,6 +512,27 @@ impl std::str::FromStr for DelayFamily {
     }
 }
 
+/// Per-edge delays for [`Topology::timing_graph`]; an error from either
+/// method aborts the load.
+pub trait DelaySource {
+    /// The delay of the virtual-source edge into every primary input.
+    fn source_delay(&self) -> Result<TimingDist, SstaError>;
+
+    /// The delay of gate `gate`'s input pin `pin` (cell `cell`).
+    fn gate_delay(&self, gate: usize, pin: usize, cell: CellType) -> Result<TimingDist, SstaError>;
+}
+
+/// The numerically-zero virtual-source delay of `family` (in-family, so the
+/// statistical operators apply).
+fn zero_delay(family: DelayFamily) -> Result<TimingDist, SstaError> {
+    let sn = lvf2_stats::SkewNormal::new(1e-9, 1e-12, 0.0)?;
+    Ok(match family {
+        DelayFamily::Normal => TimingDist::Normal(lvf2_stats::Normal::new(1e-9, 1e-12)?),
+        DelayFamily::Lvf => TimingDist::Lvf(sn),
+        DelayFamily::Lvf2 => TimingDist::Lvf2(lvf2_stats::Lvf2::from_lvf(sn)),
+    })
+}
+
 /// Seeded synthetic per-edge delay models for graph-scale propagation.
 ///
 /// Every delay is a pure function of `(seed, gate, pin)` via SplitMix64
@@ -556,18 +560,13 @@ impl SyntheticDelays {
         let h = chunk_seed(self.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15), key);
         (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
+}
 
-    /// The numerically-zero virtual-source delay, in-family.
+impl DelaySource for SyntheticDelays {
     fn source_delay(&self) -> Result<TimingDist, SstaError> {
-        let sn = lvf2_stats::SkewNormal::new(1e-9, 1e-12, 0.0)?;
-        Ok(match self.family {
-            DelayFamily::Normal => TimingDist::Normal(lvf2_stats::Normal::new(1e-9, 1e-12)?),
-            DelayFamily::Lvf => TimingDist::Lvf(sn),
-            DelayFamily::Lvf2 => TimingDist::Lvf2(lvf2_stats::Lvf2::from_lvf(sn)),
-        })
+        zero_delay(self.family)
     }
 
-    /// The delay of gate `gate`'s pin `pin` (cell `cell`).
     fn gate_delay(&self, gate: usize, pin: usize, cell: CellType) -> Result<TimingDist, SstaError> {
         let key = (gate as u64) << 3 | pin as u64;
         let jitter = 0.90 + 0.20 * self.uniform(key, 1);
@@ -772,7 +771,8 @@ impl NetlistGen {
 /// # Errors
 ///
 /// [`SstaError::Netlist`] with a line number for malformed lines, unknown
-/// gate functions, or references to undefined signals.
+/// gate functions, signals defined twice, or references to undefined
+/// signals.
 pub fn parse_bench(text: &str) -> Result<Topology, SstaError> {
     struct Assign<'a> {
         line: usize,
@@ -780,10 +780,10 @@ pub fn parse_bench(text: &str) -> Result<Topology, SstaError> {
         func: &'a str,
         args: Vec<&'a str>,
     }
-    let mut inputs: Vec<&str> = Vec::new();
-    let mut outputs: Vec<&str> = Vec::new();
+    let mut inputs: Vec<(usize, &str)> = Vec::new();
+    let mut outputs: Vec<(usize, &str)> = Vec::new();
     let mut assigns: Vec<Assign<'_>> = Vec::new();
-    let mut dff_sinks: Vec<&str> = Vec::new();
+    let mut dff_sinks: Vec<(usize, &str)> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -800,8 +800,8 @@ pub fn parse_bench(text: &str) -> Result<Topology, SstaError> {
             }
             if func.eq_ignore_ascii_case("DFF") {
                 // Timing break: Q is a launch point, D a capture point.
-                inputs.push(out);
-                dff_sinks.push(args[0]);
+                inputs.push((line_no, out));
+                dff_sinks.push((line_no, args[0]));
             } else {
                 assigns.push(Assign {
                     line: line_no,
@@ -815,9 +815,9 @@ pub fn parse_bench(text: &str) -> Result<Topology, SstaError> {
                 .first()
                 .ok_or_else(|| parse_err(line_no, format!("`{kw}` needs a signal")))?;
             if kw.eq_ignore_ascii_case("INPUT") {
-                inputs.push(name);
+                inputs.push((line_no, name));
             } else if kw.eq_ignore_ascii_case("OUTPUT") {
-                outputs.push(name);
+                outputs.push((line_no, name));
             } else {
                 return Err(parse_err(line_no, format!("unknown directive `{kw}`")));
             }
@@ -826,42 +826,29 @@ pub fn parse_bench(text: &str) -> Result<Topology, SstaError> {
         }
     }
 
-    // Gate count per assignment is deterministic (wide gates decompose into
-    // (arity - 2) two-input reductions plus the final gate), so every
-    // signal's node id can be assigned before any gate is built — `.bench`
-    // files reference signals defined later in the file.
+    // Gate count per assignment is deterministic (a gate wider than 4
+    // inputs decomposes into arity − 4 two-input reductions plus the final
+    // gate), so every signal's node id can be assigned before any gate is
+    // built — `.bench` files reference signals defined later in the file.
     let n_inputs = inputs.len();
-    let mut node_of: HashMap<&str, u32> = HashMap::with_capacity(n_inputs + assigns.len());
-    for (i, name) in inputs.iter().enumerate() {
-        if node_of.insert(name, i as u32).is_some() {
-            return Err(parse_err(0, format!("signal `{name}` defined twice")));
-        }
+    let mut names = Resolver::default();
+    for (i, &(line, name)) in inputs.iter().enumerate() {
+        names.define(line, name, i)?;
     }
     let mut next_gate = 0usize;
     for a in &assigns {
-        let extra = a.args.len().saturating_sub(2).saturating_sub(2); // reductions for arity > 4
-        next_gate += extra;
-        let id = (n_inputs + next_gate) as u32;
+        next_gate += a.args.len().saturating_sub(4); // reductions for arity > 4
+        names.define(a.line, a.out, n_inputs + next_gate)?;
         next_gate += 1;
-        if node_of.insert(a.out, id).is_some() {
-            return Err(parse_err(
-                a.line,
-                format!("signal `{}` defined twice", a.out),
-            ));
-        }
     }
 
     let mut gates: Vec<TopoGate> = Vec::with_capacity(next_gate);
     for a in &assigns {
-        let mut fanin = Vec::with_capacity(a.args.len());
-        for arg in &a.args {
-            fanin.push(*node_of.get(arg).ok_or_else(|| {
-                parse_err(
-                    a.line,
-                    format!("`{}` references undefined signal `{arg}`", a.out),
-                )
-            })?);
-        }
+        let mut fanin: Vec<u32> = a
+            .args
+            .iter()
+            .map(|n| names.id(a.line, n))
+            .collect::<Result<_, _>>()?;
         let f = a.func.to_ascii_uppercase();
         // Reduce wide gates with the base associative op until ≤ 4 inputs
         // remain, then close with one gate of the original type.
@@ -890,29 +877,26 @@ pub fn parse_bench(text: &str) -> Result<Topology, SstaError> {
         }
         let cell = cell_for(&f, fanin.len())
             .ok_or_else(|| parse_err(a.line, format!("unknown gate function `{}`", a.func)))?;
-        debug_assert_eq!(node_of[a.out], (n_inputs + gates.len()) as u32);
+        debug_assert_eq!(names.ids[a.out], (n_inputs + gates.len()) as u32);
         gates.push(TopoGate { cell, fanin });
     }
 
-    let mut sink_ids = Vec::with_capacity(outputs.len() + dff_sinks.len());
-    for name in outputs.iter().chain(&dff_sinks) {
-        sink_ids.push(*node_of.get(name).ok_or_else(|| {
-            parse_err(0, format!("output `{name}` references an undefined signal"))
-        })?);
-    }
+    outputs.extend(dff_sinks);
     Ok(Topology {
         n_inputs,
         gates,
-        outputs: sink_ids,
+        outputs: names.ids(&outputs)?,
     })
 }
 
-/// Splits `NAND(a, b)` into `("NAND", ["a", "b"])`.
+/// Splits `NAND(a, b)` into `("NAND", ["a", "b"])`; `None` unless a `(`
+/// precedes the last `)`.
 fn parse_call(s: &str) -> Option<(&str, Vec<&str>)> {
     let open = s.find('(')?;
     let close = s.rfind(')')?;
     let func = s[..open].trim();
-    let args = s[open + 1..close]
+    let args = s
+        .get(open + 1..close)?
         .split(',')
         .map(str::trim)
         .filter(|a| !a.is_empty())
@@ -955,15 +939,44 @@ mod tests {
     use super::*;
     use lvf2_stats::Distribution;
 
+    const FULL_ADDER: &str = include_str!("../../../examples/netlists/full_adder.net");
+
+    fn full_adder() -> NamedTopology {
+        parse_netlist(FULL_ADDER).expect("example netlist is valid")
+    }
+
     #[test]
     fn parses_the_full_adder() {
-        let nl = full_adder_netlist();
-        assert_eq!(nl.inputs, vec!["A", "B", "CIN"]);
-        assert_eq!(nl.outputs, vec!["SUM", "COUT"]);
-        assert_eq!(nl.gates.len(), 5);
-        assert_eq!(nl.gates[0].cell, CellType::Xor2);
-        assert_eq!(nl.fanout("t1"), 2); // u2 and u4
-        assert_eq!(nl.fanout("SUM"), 1); // primary output only
+        let nl = full_adder();
+        let topo = &nl.topology;
+        assert_eq!(topo.n_inputs, 3);
+        assert_eq!(nl.output_names, vec!["SUM", "COUT"]);
+        assert_eq!(topo.outputs, vec![4, 7]); // u2 and u5 drive them
+        assert_eq!(topo.gates.len(), 5);
+        assert_eq!(topo.gates[0].cell, CellType::Xor2);
+        let fanout = |n: u32| {
+            topo.gates
+                .iter()
+                .flat_map(|g| &g.fanin)
+                .filter(|&&f| f == n)
+                .count()
+        };
+        assert_eq!(fanout(3), 2); // t1 feeds u2 and u4
+        assert_eq!(fanout(4), 0); // SUM is a primary output only
+    }
+
+    #[test]
+    fn net_and_bench_spellings_parse_to_the_same_topology() {
+        let bench = parse_bench(
+            "INPUT(A)\nINPUT(B)\nINPUT(CIN)\nOUTPUT(SUM)\nOUTPUT(COUT)\n\
+             t1 = XOR(A, B)\n\
+             SUM = XOR(t1, CIN)\n\
+             t2 = NAND(A, B)\n\
+             t3 = NAND(t1, CIN)\n\
+             COUT = NAND(t2, t3)\n",
+        )
+        .unwrap();
+        assert_eq!(full_adder().topology, bench);
     }
 
     #[test]
@@ -975,29 +988,60 @@ mod tests {
         assert!(parse_netlist("input A\ngate u1 NAND2 A y").is_err()); // arity
         assert!(parse_netlist("input A B\ngate u1 NAND2 A B y\ngate u2 NAND2 A B y").is_err()); // two drivers
         assert!(parse_netlist("input A\noutput z").is_err()); // undriven PO
+        assert!(parse_netlist("input A\ngate u1 INV ghost y").is_err()); // undriven input
         assert!(parse_netlist("wibble").is_err());
+    }
+
+    #[test]
+    fn duplicate_primary_input_is_a_typed_error() {
+        match parse_netlist("input A A\noutput y\ngate u1 NAND2 A A y") {
+            Err(SstaError::Netlist { line: 1, message }) => {
+                assert_eq!(message, "signal `A` defined twice");
+            }
+            other => panic!("expected a line-1 netlist error, got {other:?}"),
+        }
     }
 
     #[test]
     fn comments_and_blank_lines_are_ignored() {
         let nl =
             parse_netlist("# top\n\ninput A B # pins\noutput y\ngate u1 NAND2 A B y\n").unwrap();
-        assert_eq!(nl.gates.len(), 1);
+        assert_eq!(nl.topology.gates.len(), 1);
     }
 
     #[test]
     fn out_of_order_gates_are_handled() {
         // u2 consumes t1 before u1 defines it, textually.
-        let nl = parse_netlist("input A B\noutput y\ngate u2 INV t1 y\ngate u1 NAND2 A B t1\n");
-        // Parse-time check only requires *some* driver, which exists.
-        let nl = nl.unwrap();
-        let order = topo_gate_order(&nl).unwrap();
-        assert_eq!(order, vec![1, 0]);
+        let nl =
+            parse_netlist("input A B\noutput y\ngate u2 INV t1 y\ngate u1 NAND2 A B t1\n").unwrap();
+        // File order: u2 drives node 2 (y), u1 drives node 3 (t1).
+        assert_eq!(nl.topology.gates[0].fanin, vec![3]);
+        assert_eq!(nl.topology.gates[1].fanin, vec![0, 1]);
+        let loaded = nl
+            .topology
+            .timing_graph(&SyntheticDelays::new(DelayFamily::Normal, 1))
+            .unwrap();
+        let csr = CsrGraph::try_from(loaded.graph).unwrap();
+        // Source, inputs, t1, then y last (graph node = topology node + 1).
+        assert_eq!(csr.level_count(), 4);
+        assert_eq!(csr.level(2), &[4]);
+        assert_eq!(csr.level(3), &[3]);
+    }
+
+    #[test]
+    fn combinational_loops_are_graph_cycles() {
+        let nl =
+            parse_netlist("input A\noutput y\ngate u1 NAND2 A z y\ngate u2 INV y z\n").unwrap();
+        let opts = StaOptions {
+            samples: 200,
+            ..Default::default()
+        };
+        assert!(matches!(run_sta(&nl, &opts), Err(SstaError::GraphCycle)));
     }
 
     #[test]
     fn sta_report_is_consistent_with_golden() {
-        let nl = full_adder_netlist();
+        let nl = full_adder();
         // A clock around the COUT mean keeps violation probability in the
         // informative mid-range.
         let probe = run_sta(
@@ -1034,7 +1078,7 @@ mod tests {
 
     #[test]
     fn sta_is_deterministic() {
-        let nl = full_adder_netlist();
+        let nl = full_adder();
         let opts = StaOptions {
             samples: 400,
             ..Default::default()
@@ -1042,6 +1086,53 @@ mod tests {
         let a = run_sta(&nl, &opts).unwrap();
         let b = run_sta(&nl, &opts).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn sta_report_on_the_full_adder_is_pinned() {
+        // Reference bit patterns per output: LVF and LVF² (mean, σ, P_viol),
+        // then the golden P_viol. Characterization, loading, propagation,
+        // slack and the golden fold all feed these.
+        const PINNED: [(&str, [u64; 3], [u64; 3], u64); 2] = [
+            (
+                "SUM",
+                [0x3fb2a7d8be9dc56e, 0x3f89593a823ed810, 0x3f38259204379e6e],
+                [0x3fb2adb3ce870eb0, 0x3f894d1d10cb6793, 0x3f1916e0a9bb488f],
+                0x0000000000000000,
+            ),
+            (
+                "COUT",
+                [0x3fbac2533a3c3543, 0x3f8bb99b3ef8f872, 0x3fc06865c99e9a83],
+                [0x3fbac7e78a9c08b0, 0x3f8baa593cc02ebb, 0x3fc0791a82d5efa5],
+                0x3fc0a3d70a3d70a4,
+            ),
+        ];
+        let opts = StaOptions {
+            samples: 800,
+            clock: 0.12,
+            ..Default::default()
+        };
+        let report = run_sta(&full_adder(), &opts).unwrap();
+        let bits = |o: &OutputTiming| {
+            [
+                o.arrival.mean().to_bits(),
+                o.arrival.std_dev().to_bits(),
+                o.violation_probability.to_bits(),
+            ]
+        };
+        assert_eq!(report.lvf.len(), PINNED.len());
+        for (i, (net, lvf, lvf2, golden)) in PINNED.into_iter().enumerate() {
+            assert_eq!(report.lvf[i].net, net);
+            assert_eq!(report.lvf2[i].net, net);
+            assert_eq!(bits(&report.lvf[i]), lvf, "{net} LVF");
+            assert_eq!(bits(&report.lvf2[i]), lvf2, "{net} LVF2");
+            assert_eq!(report.golden_violation[i].0, net);
+            assert_eq!(
+                report.golden_violation[i].1.to_bits(),
+                golden,
+                "{net} golden"
+            );
+        }
     }
 
     #[test]
@@ -1081,7 +1172,7 @@ mod tests {
         let loaded = topo
             .timing_graph(&SyntheticDelays::new(DelayFamily::Lvf2, 3))
             .unwrap();
-        let csr = loaded.graph.csr().unwrap();
+        let csr = CsrGraph::from_graph(&loaded.graph).unwrap();
         // Virtual source + PI rank + 9 gate ranks: the spine edges force
         // exactly depth+2 levels.
         assert_eq!(csr.level_count(), 11);
@@ -1145,7 +1236,7 @@ mod tests {
             .timing_graph(&SyntheticDelays::new(DelayFamily::Normal, 1))
             .unwrap();
         // The q → d → q "loop" must be broken: graph is acyclic.
-        assert!(loaded.graph.csr().is_ok());
+        assert!(CsrGraph::try_from(loaded.graph).is_ok());
     }
 
     #[test]
@@ -1170,6 +1261,18 @@ mod tests {
         assert!(parse_bench("G1 = FROB(G2)\nINPUT(G2)").is_err());
         assert!(parse_bench("INPUT(a)\ny = AND(a, ghost)\nOUTPUT(y)").is_err());
         assert!(parse_bench("wat").is_err());
+        assert!(parse_bench("INPUT(a)\nINPUT(a)").is_err()); // defined twice
+        assert!(parse_bench("INPUT(a)\nOUTPUT(z)").is_err()); // undriven output
+    }
+
+    #[test]
+    fn bench_importer_rejects_inverted_parentheses() {
+        for (text, line) in [("INPUT(a)\ny = )NAND(a", 2), ("OUTPUT)(y", 1)] {
+            assert!(
+                matches!(parse_bench(text), Err(SstaError::Netlist { line: l, .. }) if l == line),
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

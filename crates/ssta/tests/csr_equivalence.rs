@@ -9,7 +9,7 @@
 
 use lvf2_parallel::Parallelism;
 use lvf2_ssta::{
-    DelayFamily, NetlistGen, ReductionStrategy, SyntheticDelays, TimingDist, TimingGraph,
+    CsrGraph, DelayFamily, NetlistGen, ReductionStrategy, SyntheticDelays, TimingDist, TimingGraph,
 };
 use lvf2_stats::{Lvf2, Moments, Normal, SkewNormal};
 use proptest::prelude::*;
@@ -62,9 +62,10 @@ fn build_graph(
 
 fn assert_bit_identical(g: &TimingGraph, source: usize) {
     let reference = g.arrival_times_reference(source).unwrap();
+    let csr = CsrGraph::from_graph(g).unwrap();
     for threads in [1usize, 2, 8] {
         let par = Parallelism::auto().with_threads(threads);
-        let got = g.arrival_times_par(source, &par).unwrap();
+        let got = csr.propagate(source, &par).unwrap().arrivals;
         assert_eq!(
             got, reference,
             "arrivals diverge from reference at {threads} threads"
@@ -96,9 +97,10 @@ proptest! {
         let g = build_graph(nodes, family, &raw_edges, strategy);
         let source = source_knob as usize % nodes;
         let reference = g.arrival_times_reference(source).unwrap();
+        let csr = CsrGraph::from_graph(&g).unwrap();
         for threads in [1usize, 2, 8] {
             let par = Parallelism::auto().with_threads(threads);
-            let got = g.arrival_times_par(source, &par).unwrap();
+            let got = csr.propagate(source, &par).unwrap().arrivals;
             prop_assert_eq!(&got, &reference, "diverged at {} threads", threads);
         }
     }
@@ -172,7 +174,7 @@ fn hundred_thousand_node_netlist_propagates() {
     let loaded = topo
         .timing_graph(&SyntheticDelays::new(DelayFamily::Normal, 1))
         .unwrap();
-    let csr = loaded.graph.csr().unwrap();
+    let csr = CsrGraph::try_from(loaded.graph).unwrap();
     assert_eq!(csr.level_count(), 52); // source + PI rank + 50 gate ranks
     let par = Parallelism::auto();
     let prop = csr.propagate(loaded.source, &par).unwrap();

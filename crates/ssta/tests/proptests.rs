@@ -1,8 +1,12 @@
-//! Property-based tests for the SSTA operators: moment preservation,
-//! family closure, and max-operator sanity for arbitrary valid models.
+//! Property-based tests for the SSTA operators (moment preservation,
+//! family closure, and max-operator sanity for arbitrary valid models) and
+//! for the netlist parsers (typed errors, never a panic).
 
 use lvf2_ssta::reduce::{mixture_moments, reduce_components, MomentComponent};
-use lvf2_ssta::{ReductionStrategy, TimingDist};
+use lvf2_ssta::{
+    parse_bench, parse_netlist, CsrGraph, DelayFamily, ReductionStrategy, SstaError,
+    SyntheticDelays, TimingDist, Topology,
+};
 use lvf2_stats::{Distribution, Lvf2, Moments, SkewNormal};
 use proptest::prelude::*;
 
@@ -81,5 +85,50 @@ proptest! {
         let m = TimingDist::Lvf(x).max(&TimingDist::Lvf(lo)).expect("same family");
         prop_assert!((m.mean() - x.mean()).abs() < 1e-6 * (1.0 + x.mean().abs()));
         prop_assert!((m.variance() - x.variance()).abs() / x.variance() < 1e-4);
+    }
+}
+
+/// Tokens of the netlist "line soup": the punctuation both formats split
+/// on, their keywords, and a few signal names.
+const SOUP: [&str; 22] = [
+    "(", ")", "=", ",", "#", " ", "INPUT", "OUTPUT", "DFF", "NAND", "NOT", "XOR", "input",
+    "output", "gate", "NAND2", "INV", "u1", "a", "b", "y", "\t",
+];
+
+fn soup() -> impl Strategy<Value = String> {
+    proptest::collection::vec(proptest::collection::vec(0..SOUP.len(), 0..10), 0..10).prop_map(
+        |lines| {
+            lines
+                .iter()
+                .map(|toks| toks.iter().map(|&t| SOUP[t]).collect::<String>())
+                .collect::<Vec<_>>()
+                .join("\n")
+        },
+    )
+}
+
+/// A parsed topology always loads; only levelization may refuse it (a
+/// combinational loop).
+fn loads(topo: &Topology) -> Result<(), String> {
+    let loaded = topo
+        .timing_graph(&SyntheticDelays::new(DelayFamily::Normal, 1))
+        .map_err(|e| format!("loader rejected a parsed topology: {e}"))?;
+    match CsrGraph::try_from(loaded.graph) {
+        Ok(_) | Err(SstaError::GraphCycle) => Ok(()),
+        Err(e) => Err(format!("levelization failed: {e}")),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn netlist_parsers_never_panic_on_line_soup(text in soup()) {
+        for parsed in [parse_bench(&text), parse_netlist(&text).map(|n| n.topology)] {
+            match parsed {
+                Ok(topo) => prop_assert_eq!(loads(&topo), Ok(()), "{:?}", text),
+                Err(e) => prop_assert!(matches!(e, SstaError::Netlist { .. }), "{:?}: {}", text, e),
+            }
+        }
     }
 }
