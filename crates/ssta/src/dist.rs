@@ -1,5 +1,14 @@
 //! [`TimingDist`]: a stage/arc delay under any model family, with the
 //! block-based `sum` and `max` operators.
+//!
+//! `max` takes one of two exact-moment routes per family:
+//!
+//! - `Normal` and `Norm2` component pairs use Clark's closed form at ρ = 0
+//!   ([`clark_max_correlated`]), exact for independent Gaussians; `Norm2`
+//!   keeps only each pair's weight, mean and variance.
+//! - `LVF`, `LESN` (one component each) and `LVF2` (2×2 component pairs)
+//!   go through one [`max_moments`] call per operator: a shared quadrature
+//!   grid with spectrally integrated CDFs (see [`crate::ops`]).
 
 use lvf2_fit::{fit_lesn_moments, FitConfig};
 use lvf2_stats::moments::FourMoments;
@@ -7,7 +16,7 @@ use lvf2_stats::{Distribution, Lesn, Lvf2, Moments, Norm2, Normal, SkewNormal};
 use rand::Rng;
 
 use crate::error::SstaError;
-use crate::ops::{max_raw_moments, raw_to_central};
+use crate::ops::{clark_max_correlated, max_moments};
 use crate::reduce::{reduce_components, MomentComponent, ReductionStrategy};
 
 /// A timing distribution tagged with its model family.
@@ -115,10 +124,11 @@ impl TimingDist {
 
     /// Statistical max of two independent arrivals, staying in-family.
     ///
-    /// Moments of `max(X, Y)` are computed numerically (exact to quadrature
-    /// accuracy) and matched back into the family; the mixture families do
-    /// this componentwise and reduce — Clark's approach upgraded with
-    /// component skewness (ref \[3\]'s concern).
+    /// Moments of `max(X, Y)` are exact (Clark's closed form for Gaussian
+    /// components, quadrature for the skewed families; see the module docs)
+    /// and are matched back into the family. The mixture families do this
+    /// componentwise and reduce: Clark's approach upgraded with component
+    /// skewness (ref \[3\]'s concern).
     ///
     /// # Errors
     ///
@@ -139,11 +149,11 @@ impl TimingDist {
     ) -> Result<TimingDist, SstaError> {
         match (self, other) {
             (TimingDist::Normal(a), TimingDist::Normal(b)) => {
-                let (mean, var, _, _) = raw_to_central(max_raw_moments(a, b));
-                Ok(TimingDist::Normal(Normal::new(mean, var.sqrt())?))
+                let c = clark_component(a, b, 1.0);
+                Ok(TimingDist::Normal(Normal::new(c.mean, c.var.sqrt())?))
             }
             (TimingDist::Lvf(a), TimingDist::Lvf(b)) => {
-                let (mean, var, m3, _) = raw_to_central(max_raw_moments(a, b));
+                let [[(mean, var, m3, _)]] = max_moments([a], [b]);
                 Ok(TimingDist::Lvf(component_to_sn(&MomentComponent {
                     w: 1.0,
                     mean,
@@ -152,19 +162,19 @@ impl TimingDist {
                 })?))
             }
             (TimingDist::Lesn(a), TimingDist::Lesn(b)) => {
-                let (mean, var, m3, m4) = raw_to_central(max_raw_moments(a, b));
+                let [[(mean, var, m3, m4)]] = max_moments([a], [b]);
                 let sd = var.sqrt();
                 let m = FourMoments::new(mean, sd, m3 / (var * sd), m4 / (var * var) - 3.0);
                 let fitted = fit_lesn_moments(m, None, &lesn_config())?;
                 Ok(TimingDist::Lesn(fitted.model))
             }
             (TimingDist::Norm2(a), TimingDist::Norm2(b)) => {
-                let comps = pairwise_maxes(&norm2_dists(a), &norm2_dists(b));
+                let comps = norm2_max_components(a, b);
                 let red = reduce_components(comps, 2, strategy);
                 Ok(TimingDist::Norm2(components_to_norm2(&red)?))
             }
             (TimingDist::Lvf2(a), TimingDist::Lvf2(b)) => {
-                let comps = pairwise_maxes(&lvf2_dists(a), &lvf2_dists(b));
+                let comps = lvf2_max_components(a, b);
                 let red = reduce_components(comps, 2, strategy);
                 Ok(TimingDist::Lvf2(components_to_lvf2(&red)?))
             }
@@ -207,10 +217,10 @@ impl Distribution for TimingDist {
         }
     }
 
-    // Batched evaluation dispatches the enum once per *slice*, so the numeric
-    // reductions (`max_raw_moments` quadrature grids) hit the inner family's
-    // chunked kernels instead of re-matching per point. Results stay
-    // bit-identical to the scalar methods above (the kernels' contract).
+    // Batched evaluation dispatches the enum once per *slice*, so numeric
+    // reductions over a quadrature grid hit the inner family's chunked
+    // kernels instead of re-matching per point. Results stay bit-identical
+    // to the scalar methods above (the kernels' contract).
 
     fn pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
         match self {
@@ -354,14 +364,6 @@ fn lvf2_components(m: &Lvf2) -> [MomentComponent; 2] {
     ]
 }
 
-fn norm2_dists(m: &Norm2) -> [(f64, Normal); 2] {
-    [(1.0 - m.lambda(), *m.first()), (m.lambda(), *m.second())]
-}
-
-fn lvf2_dists(m: &Lvf2) -> [(f64, SkewNormal); 2] {
-    [(1.0 - m.lambda(), *m.first()), (m.lambda(), *m.second())]
-}
-
 fn pairwise_sums(a: &[MomentComponent; 2], b: &[MomentComponent; 2]) -> Vec<MomentComponent> {
     let mut out = Vec::with_capacity(4);
     for ca in a {
@@ -372,11 +374,40 @@ fn pairwise_sums(a: &[MomentComponent; 2], b: &[MomentComponent; 2]) -> Vec<Mome
     out
 }
 
-fn pairwise_maxes<D: Distribution>(a: &[(f64, D); 2], b: &[(f64, D); 2]) -> Vec<MomentComponent> {
+/// `max` of two independent Gaussians by Clark's formula at ρ = 0 (exact
+/// mean and variance). The third moment is left at zero: every consumer of
+/// a Gaussian-family max reads only weight, mean and variance.
+fn clark_component(a: &Normal, b: &Normal, w: f64) -> MomentComponent {
+    let (mean, var) = clark_max_correlated(a.mean(), a.std_dev(), b.mean(), b.std_dev(), 0.0);
+    MomentComponent {
+        w,
+        mean,
+        var,
+        m3: 0.0,
+    }
+}
+
+fn norm2_max_components(a: &Norm2, b: &Norm2) -> Vec<MomentComponent> {
+    let ca = [(1.0 - a.lambda(), a.first()), (a.lambda(), a.second())];
+    let cb = [(1.0 - b.lambda(), b.first()), (b.lambda(), b.second())];
     let mut out = Vec::with_capacity(4);
-    for (wa, da) in a {
-        for (wb, db) in b {
-            let (mean, var, m3, _) = raw_to_central(max_raw_moments(da, db));
+    for (wa, da) in ca {
+        for (wb, db) in cb {
+            out.push(clark_component(da, db, wa * wb));
+        }
+    }
+    out
+}
+
+/// The four component-pair maxes of two LVF² mixtures, from one
+/// [`max_moments`] call.
+fn lvf2_max_components(a: &Lvf2, b: &Lvf2) -> Vec<MomentComponent> {
+    let wa = [1.0 - a.lambda(), a.lambda()];
+    let wb = [1.0 - b.lambda(), b.lambda()];
+    let moments = max_moments([a.first(), a.second()], [b.first(), b.second()]);
+    let mut out = Vec::with_capacity(4);
+    for (row, wa) in moments.iter().zip(wa) {
+        for (&(mean, var, m3, _), wb) in row.iter().zip(wb) {
             out.push(MomentComponent {
                 w: wa * wb,
                 mean,

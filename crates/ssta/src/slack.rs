@@ -228,7 +228,42 @@ mod tests {
     #[test]
     fn generated_lvf2_slack_is_pinned() {
         // FNV-1a of the `{:?}` rendering of the slack vector: pins the
-        // backward fold order bit for bit.
+        // backward fold order bit for bit. The digest was 0x5303_9578_bae8_310e
+        // with the exact-CDF max quadrature; the shared-grid max with
+        // spectral CDFs moved the bits but not the values: every slack's
+        // (mean, σ) under the old max must still hold to 1e-9 relative.
+        const BEFORE: [(f64, f64); 30] = [
+            (-0.054439515497355845, 0.0063971330365614),
+            (-0.09337339564834787, 0.00762064658894459),
+            (-0.09653747185765604, 0.008259094059940767),
+            (-0.08539137312960832, 0.0076669743091142386),
+            (-0.0985541878179836, 0.007259313512325285),
+            (-0.09558272386893135, 0.006780284608426734),
+            (-0.0531297444022932, 0.007252911400475624),
+            (-0.07681371470930409, 0.0070898637715075576),
+            (-0.040689826128859255, 0.005942606483124586),
+            (-0.09112101278364625, 0.0073135095443948835),
+            (-0.10042935528426555, 0.007506651741346887),
+            (-0.05789395765720841, 0.006476891440852257),
+            (-0.06096280162309569, 0.007019625313187435),
+            (-0.05375766165853756, 0.00692065162614925),
+            (-0.03462306294589672, 0.005933994521378416),
+            (-0.051356815239150956, 0.0069768371302925975),
+            (-0.10101895254219534, 0.007086341697598274),
+            (-0.05537653746804474, 0.00731885095929422),
+            (-0.061554131226832634, 0.00661296395497279),
+            (-0.05375766165853759, 0.00692065162614925),
+            (-0.02416094570710554, 0.005776598834918817),
+            (-0.03692771878765263, 0.005960377485290306),
+            (-0.10201269849596731, 0.006732580841681148),
+            (-0.05538070001431491, 0.007311759545338218),
+            (-0.08299746962976581, 0.006383455374106123),
+            (-0.05371217620601808, 0.006958336080582171),
+            (-0.044443628577461286, 0.00651539625947813),
+            (-0.0382276767996375, 0.005306025294392812),
+            (-0.10331896782136812, 0.006170617968637821),
+            (-0.03925859604048095, 0.006548943413530173),
+        ];
         let topo = NetlistGen {
             depth: 4,
             width: 6,
@@ -242,11 +277,21 @@ mod tests {
             .unwrap();
         let slacks = slacks_of(&loaded.graph, 0.12);
         assert_eq!(slacks.len(), 31);
+        assert!(slacks[0].slack.is_none());
+        for (s, (mean, sd)) in slacks[1..].iter().zip(BEFORE) {
+            let d = s.slack.as_ref().expect("every gate has a slack");
+            assert!(
+                (d.mean() - mean).abs() <= 1e-9 * mean.abs(),
+                "node {}",
+                s.node
+            );
+            assert!((d.std_dev() - sd).abs() <= 1e-9 * sd, "node {}", s.node);
+        }
         let digest = format!("{slacks:?}")
             .bytes()
             .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
                 (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
             });
-        assert_eq!(digest, 0x5303_9578_bae8_310e);
+        assert_eq!(digest, 0x69e0_2dbe_8124_746d);
     }
 }

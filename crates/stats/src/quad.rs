@@ -1,8 +1,9 @@
 //! Numerical quadrature: fixed-order Gauss–Legendre rules and adaptive Simpson.
 //!
 //! These are the only integration tools the rest of the workspace uses; they
-//! back Owen's T, the extended-skew-normal CDF, and the moment integrals used
-//! in tests.
+//! back Owen's T, the extended-skew-normal CDF, the statistical max of
+//! `lvf2-ssta` (through [`gl32`]'s spectral integration matrix), and the
+//! moment integrals used in tests.
 
 /// 32-point Gauss–Legendre nodes on `[0, 1]` (positive half of the 64 symmetric
 /// nodes on `[-1, 1]`, shifted). Stored as (node, weight) on `[-1, 1]`.
@@ -44,6 +45,99 @@ pub fn gauss_legendre_32<F: Fn(f64) -> f64>(f: F, a: f64, b: f64) -> f64 {
         sum += w * (f(c + h * x) + f(c - h * x));
     }
     sum * h
+}
+
+/// The 32-point Gauss–Legendre rule on `[-1, 1]` in ascending node order,
+/// with its spectral integration matrix.
+///
+/// The matrix is `S[i][j] = ∫₋₁^{xᵢ} ℓⱼ(x) dx`, where `ℓⱼ` is the Lagrange
+/// basis polynomial of node `j`. For samples `fⱼ = f(xⱼ)`, `Σⱼ S[i][j]·fⱼ` is
+/// the integral from `-1` to node `i` of the degree-31 interpolant of `f`:
+/// exact for polynomials up to degree 31, spectrally accurate for smooth `f`.
+/// It is stored by column (`cumulative[j][i] = S[i][j]`), so applying it is
+/// 32 contiguous multiply-adds of length 32. The full-panel integral is
+/// `Σⱼ weights[j]·fⱼ`.
+///
+/// Only [`gl32`] builds one, so the fields always agree with each other.
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub struct Gl32 {
+    /// Nodes on `[-1, 1]`, ascending.
+    pub nodes: [f64; 32],
+    /// Quadrature weights (they sum to 2).
+    pub weights: [f64; 32],
+    /// The spectral integration matrix `S`, by column.
+    pub cumulative: [[f64; 32]; 32],
+    /// Rows mapping node samples to the interpolant's two highest Legendre
+    /// coefficients: `cₙ = Σⱼ legendre_tail[n − 30][j]·fⱼ`, `n = 30, 31`.
+    /// When they are not negligible the interpolant has not resolved `f`.
+    pub legendre_tail: [[f64; 32]; 2],
+}
+
+/// The shared [`Gl32`] rule, built once.
+///
+/// The matrix comes from the discrete Legendre expansion of the
+/// interpolant, `ℓⱼ(x) = wⱼ Σₙ (n + ½) Pₙ(xⱼ) Pₙ(x)` for `n < 32`, and the
+/// antiderivatives `∫₋₁ˣ P₀ = x + 1`, `∫₋₁ˣ Pₙ = (Pₙ₊₁ − Pₙ₋₁)/(2n + 1)`.
+///
+/// # Example
+///
+/// ```
+/// use lvf2_stats::quad::gl32;
+/// let r = gl32();
+/// // ∫₋₁^{xᵢ} 3x² dx = xᵢ³ + 1, exactly for a low-degree polynomial.
+/// let f: Vec<f64> = r.nodes.iter().map(|x| 3.0 * x * x).collect();
+/// let mut got = [0.0; 32];
+/// for (col, fj) in r.cumulative.iter().zip(&f) {
+///     for (g, s) in got.iter_mut().zip(col) {
+///         *g += s * fj;
+///     }
+/// }
+/// for (g, x) in got.iter().zip(&r.nodes) {
+///     assert!((g - (x.powi(3) + 1.0)).abs() < 1e-14);
+/// }
+/// ```
+pub fn gl32() -> &'static Gl32 {
+    static RULE: std::sync::OnceLock<Gl32> = std::sync::OnceLock::new();
+    RULE.get_or_init(|| {
+        let mut nodes = [0.0; 32];
+        let mut weights = [0.0; 32];
+        for (k, &(x, w)) in GL32.iter().enumerate() {
+            (nodes[15 - k], weights[15 - k]) = (-x, w);
+            (nodes[16 + k], weights[16 + k]) = (x, w);
+        }
+        // legendre[n] = Pₙ at every node, n = 0..=32.
+        let mut legendre = [[0.0; 32]; 33];
+        legendre[0] = [1.0; 32];
+        legendre[1] = nodes;
+        for n in 1..32 {
+            for i in 0..32 {
+                let nf = n as f64;
+                legendre[n + 1][i] = ((2.0 * nf + 1.0) * nodes[i] * legendre[n][i]
+                    - nf * legendre[n - 1][i])
+                    / (nf + 1.0);
+            }
+        }
+        let mut cumulative = [[0.0; 32]; 32];
+        for (j, col) in cumulative.iter_mut().enumerate() {
+            for (i, s) in col.iter_mut().enumerate() {
+                // (n + ½)/(2n + 1) = ½ for every n ≥ 1.
+                let mut acc = 0.5 * (nodes[i] + 1.0);
+                for n in 1..32 {
+                    acc += 0.5 * legendre[n][j] * (legendre[n + 1][i] - legendre[n - 1][i]);
+                }
+                *s = weights[j] * acc;
+            }
+        }
+        let legendre_tail = [30, 31]
+            .map(|n| std::array::from_fn(|j| (n as f64 + 0.5) * weights[j] * legendre[n][j]));
+        Gl32 {
+            nodes,
+            weights,
+            cumulative,
+            legendre_tail,
+        }
+    })
 }
 
 /// Integrates `f` over `[a, b]` by adaptive Simpson to absolute tolerance `tol`.
@@ -178,6 +272,73 @@ mod tests {
             1e-11,
         );
         assert!((var - 0.25).abs() < 1e-7);
+    }
+
+    #[test]
+    fn gl32_rule_is_ascending_and_matches_gauss_legendre_32() {
+        let r = gl32();
+        assert!(r.nodes.windows(2).all(|p| p[0] < p[1]));
+        assert!((r.weights.iter().sum::<f64>() - 2.0).abs() < 1e-14);
+        let f = |x: f64| (3.0 * x).cos();
+        let full: f64 = r.nodes.iter().zip(&r.weights).map(|(x, w)| w * f(*x)).sum();
+        assert!((full - gauss_legendre_32(f, -1.0, 1.0)).abs() < 1e-15);
+    }
+
+    #[test]
+    fn spectral_integration_matches_the_antiderivative() {
+        let r = gl32();
+        let check = |f: &dyn Fn(f64) -> f64, anti: &dyn Fn(f64) -> f64, tol: f64| {
+            for (i, &x) in r.nodes.iter().enumerate() {
+                let got: f64 = (0..32).map(|j| r.cumulative[j][i] * f(r.nodes[j])).sum();
+                let want = anti(x) - anti(-1.0);
+                assert!((got - want).abs() < tol, "node {i}: {got} vs {want}");
+            }
+        };
+        // Exact through degree 31.
+        check(
+            &|x| 31.0 * x.powi(30) - 4.0 * x,
+            &|x| x.powi(31) - 2.0 * x * x,
+            1e-12,
+        );
+        // Spectral for a smooth density: a Gaussian whose ±10σ span covers
+        // five panels, the narrowest the statistical max integrates this way.
+        let s = 0.5;
+        check(
+            &|x| norm_pdf((x - 0.2) / s) / s,
+            &|x| crate::special::norm_cdf((x - 0.2) / s),
+            2e-15,
+        );
+    }
+
+    #[test]
+    fn legendre_tail_flags_unresolved_samples() {
+        let r = gl32();
+        let tail = |f: &dyn Fn(f64) -> f64| -> f64 {
+            r.legendre_tail
+                .iter()
+                .map(|row| {
+                    row.iter()
+                        .zip(&r.nodes)
+                        .map(|(c, &x)| c * f(x))
+                        .sum::<f64>()
+                        .abs()
+                })
+                .sum()
+        };
+        // Degree ≤ 29: no tail. P₃₁ itself: coefficient 1.
+        assert!(tail(&|x| x.powi(29) - x) < 1e-14);
+        let p31 = |x: f64| {
+            let (mut p0, mut p1) = (1.0, x);
+            for n in 1..31 {
+                let nf = n as f64;
+                (p0, p1) = (p1, ((2.0 * nf + 1.0) * x * p1 - nf * p0) / (nf + 1.0));
+            }
+            p1
+        };
+        assert!((tail(&p31) - 1.0).abs() < 1e-12);
+        // A smooth bump is resolved, a step edge is not.
+        assert!(tail(&|x| norm_pdf(x / 0.5)) < 1e-15);
+        assert!(tail(&|x| if x > 0.1 { 1.0 } else { 0.0 }) > 1e-3);
     }
 
     #[test]

@@ -2,7 +2,11 @@
 //! reconvergence) tracks a direct Monte-Carlo simulation of the same DAG,
 //! for every model family that supports it.
 
-use lvf2::ssta::{TimingDist, TimingGraph};
+use lvf2::binning::{score_model, GoldenReference};
+use lvf2::parallel::Parallelism;
+use lvf2::ssta::{
+    golden, CsrGraph, DelayFamily, NetlistGen, SyntheticDelays, TimingDist, TimingGraph,
+};
 use lvf2::stats::{Distribution, Lvf2, Moments, Norm2, Normal, SkewNormal};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -135,4 +139,53 @@ fn wider_dag_with_multiple_reconvergences() {
         sink.mean()
     );
     assert!(sink.std_dev() > 0.005 && sink.std_dev() < 0.05);
+}
+
+#[test]
+fn generated_lvf2_netlist_sinks_match_golden_propagation() {
+    // ~200 nodes of reconvergent logic at depth 6, LVF² delays on every
+    // edge. The golden reference draws each edge's samples from that edge's
+    // own `TimingDist`, so it measures only the sum/max/reduce error of the
+    // analytical propagation, not fit error. Tolerances are the benchmark's
+    // golden check: the operators ignore the correlation reconvergence
+    // builds, so σ errors of 10–20% are expected.
+    const SAMPLES: usize = 10_000;
+    let loaded = NetlistGen {
+        seed: 11,
+        ..NetlistGen::with_nodes(200, 6)
+    }
+    .generate()
+    .timing_graph(&SyntheticDelays::new(DelayFamily::Lvf2, 11))
+    .expect("timing graph");
+    let (source, sinks) = (loaded.source, loaded.sinks);
+    let csr = CsrGraph::try_from(loaded.graph).expect("acyclic");
+    assert!(csr.node_count() >= 190, "{} nodes", csr.node_count());
+    let arrivals = csr
+        .propagate(source, &Parallelism::serial())
+        .expect("propagates")
+        .arrivals;
+
+    let mut rng = StdRng::seed_from_u64(12);
+    let edge_samples: Vec<Vec<f64>> = (0..csr.edge_count())
+        .map(|e| csr.delay(e).sample_n(&mut rng, SAMPLES))
+        .collect();
+    let golden_arrivals = golden::propagate_samples(&csr, source, &edge_samples);
+
+    assert!(!sinks.is_empty());
+    for &s in &sinks {
+        let model = arrivals[s].as_ref().expect("sink reached");
+        assert_eq!(model.family(), "LVF2");
+        let samples = golden_arrivals[s].as_deref().expect("golden sink reached");
+        let (gm, gs) = (
+            lvf2::stats::sample_mean(samples),
+            lvf2::stats::sample_std(samples),
+        );
+        let mean_rel = (model.mean() - gm).abs() / gm;
+        let sigma_rel = (model.std_dev() - gs).abs() / gs;
+        let reference = GoldenReference::from_samples(samples).expect("spread");
+        let binning = score_model(model, &reference).binning_error;
+        assert!(mean_rel < 0.03, "sink {s}: |Δμ|/μ = {mean_rel}");
+        assert!(sigma_rel < 0.35, "sink {s}: |Δσ|/σ = {sigma_rel}");
+        assert!(binning < 0.10, "sink {s}: binning error {binning}");
+    }
 }
