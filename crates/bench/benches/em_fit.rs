@@ -1,23 +1,19 @@
-//! Criterion benches for the batched EM hot path (ISSUE 5).
+//! Criterion benches for the EM hot path.
 //!
 //! Two groups:
 //!
 //! - `ln_pdf`: scalar-loop vs batched skew-normal log-density over a
-//!   characterization-sized slice — the innermost kernel the EM engines
-//!   differ on.
+//!   characterization-sized slice — the innermost kernel of the E-step and
+//!   the weighted-MLE M-step.
 //! - `em_fit_arc`: a full LVF² fit of the default table1 arc workload
-//!   (`Scenario::TwoPeaks`, 2000 samples, default `FitConfig`) under three
-//!   implementations: the vendored pre-kernel `legacy` baseline, the
-//!   current `Engine::ScalarReference`, and the default `Engine::Batched`
-//!   with a reused `FitWorkspace`. The acceptance target is batched ≥ 2×
-//!   the legacy baseline; `bin/fit_bench.rs` records the measured ratio in
-//!   `BENCH_fit.json`.
+//!   (`Scenario::TwoPeaks`, 2000 samples, default `FitConfig`) with a reused
+//!   `FitWorkspace`; `bin/fit_bench.rs` records the same workload's wall
+//!   time in `BENCH_fit.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lvf2::cells::Scenario;
-use lvf2::fit::{fit_lvf2, fit_lvf2_with, Engine, FitConfig, FitWorkspace};
+use lvf2::fit::{fit_lvf2_with, FitConfig, FitWorkspace};
 use lvf2::stats::{Distribution, Moments, SkewNormal};
-use lvf2_bench::legacy::fit_lvf2_legacy;
 
 fn bench_ln_pdf(c: &mut Criterion) {
     let sn = SkewNormal::from_moments(Moments::new(0.12, 0.015, 0.5)).unwrap();
@@ -45,16 +41,9 @@ fn bench_ln_pdf(c: &mut Criterion) {
 fn bench_em_fit_arc(c: &mut Criterion) {
     let xs = Scenario::TwoPeaks.sample(2000, 7);
     let cfg = FitConfig::default();
-    let scalar_cfg = cfg.clone().with_engine(Engine::ScalarReference);
     let mut ws = FitWorkspace::new();
 
     let mut group = c.benchmark_group("em_fit_arc");
-    group.bench_function("legacy_baseline", |b| {
-        b.iter(|| fit_lvf2_legacy(&xs, &cfg).unwrap().log_likelihood)
-    });
-    group.bench_function("scalar_engine", |b| {
-        b.iter(|| fit_lvf2(&xs, &scalar_cfg).unwrap().report.log_likelihood)
-    });
     group.bench_function("batched", |b| {
         b.iter(|| {
             fit_lvf2_with(&xs, &cfg, &mut ws)

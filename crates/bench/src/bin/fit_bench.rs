@@ -1,27 +1,17 @@
-//! EM-fit wall-time bench: legacy baseline vs the two current engines.
+//! EM-fit wall-time bench.
 //!
 //! Runs the default table1 arc workload (`Scenario::TwoPeaks`, 2000 samples)
-//! through three fitters and writes a `lvf2-bench-v1` summary
-//! (`BENCH_fit.json`):
+//! through `fit_lvf2_with` with one reused [`FitWorkspace`] and writes a
+//! `lvf2-bench-v1` summary (`BENCH_fit.json`) with the median wall time
+//! (`wall_ms_batched`) and the EM iteration count (`iterations`).
 //!
-//! - `legacy`: the pre-kernel implementation vendored in
-//!   [`lvf2_bench::legacy`] (per-sample loops, per-iteration allocations);
-//! - `scalar`: the current algorithm under `Engine::ScalarReference`;
-//! - `batched`: the default `Engine::Batched` with one reused
-//!   [`FitWorkspace`].
-//!
-//! Flags: `--n`, `--seed`, `--repeats`, `--inner-evals`, plus the shared
-//! observability/bench flags (`--bench-json`, `--metrics-json`, …).
-//!
-//! The headline quality figure is `speedup_batched_vs_legacy` (the ISSUE 5
-//! acceptance asks for ≥ 2); `ll_gap_legacy` sanity-checks that all three
-//! optimize the same objective.
+//! Flags: `--n`, `--seed`, `--repeats`, `--inner-evals`, `--init`, plus the
+//! shared observability/bench flags (`--bench-json`, `--metrics-json`, …).
 
 use std::time::Instant;
 
 use lvf2::cells::Scenario;
-use lvf2::fit::{fit_lvf2, fit_lvf2_with, Engine, FitConfig, FitWorkspace, InitStrategy};
-use lvf2_bench::legacy::fit_lvf2_legacy;
+use lvf2::fit::{fit_lvf2_with, FitConfig, FitWorkspace, InitStrategy};
 use lvf2_bench::{arg, obs_init, BenchReport};
 
 /// Median wall time (ms) of `repeats` runs of `f`, discarding one warmup.
@@ -57,7 +47,6 @@ fn main() {
     let cfg = FitConfig::default()
         .with_inner_evals(inner_evals)
         .with_init(init);
-    let scalar_cfg = cfg.clone().with_engine(Engine::ScalarReference);
 
     let mut report = BenchReport::start("fit");
     report.param("n", n as f64);
@@ -66,46 +55,16 @@ fn main() {
     report.param("inner_evals", inner_evals as f64);
     report.param("scenario", "two_peaks");
 
-    let (t_legacy, r_legacy) = time_ms(repeats, || fit_lvf2_legacy(&xs, &cfg).unwrap());
-    let (t_scalar, r_scalar) = time_ms(repeats, || fit_lvf2(&xs, &scalar_cfg).unwrap());
     let mut ws = FitWorkspace::new();
     let (t_batched, r_batched) = time_ms(repeats, || fit_lvf2_with(&xs, &cfg, &mut ws).unwrap());
 
-    // All three maximize the same incomplete-data log-likelihood; the gaps
-    // stay at statistical-noise level even though the implementations differ.
-    let ll_gap_legacy =
-        (r_legacy.log_likelihood - r_batched.report.log_likelihood).abs() / n as f64;
-    assert_eq!(
-        r_scalar.report, r_batched.report,
-        "engines must be bit-identical"
-    );
-    assert_eq!(r_scalar.model, r_batched.model);
-
     println!("workload: two_peaks n={n} seed={seed} inner_evals={inner_evals}");
-    println!(
-        "legacy   {t_legacy:9.2} ms  (ll {:.3})",
-        r_legacy.log_likelihood
-    );
-    println!(
-        "scalar   {t_scalar:9.2} ms  (ll {:.3})",
-        r_scalar.report.log_likelihood
-    );
     println!(
         "batched  {t_batched:9.2} ms  (ll {:.3})",
         r_batched.report.log_likelihood
     );
-    println!(
-        "speedup: batched vs legacy {:.2}x, batched vs scalar {:.2}x",
-        t_legacy / t_batched,
-        t_scalar / t_batched
-    );
 
-    report.quality("wall_ms_legacy", t_legacy);
-    report.quality("wall_ms_scalar", t_scalar);
     report.quality("wall_ms_batched", t_batched);
-    report.quality("speedup_batched_vs_legacy", t_legacy / t_batched);
-    report.quality("speedup_batched_vs_scalar", t_scalar / t_batched);
-    report.quality("ll_gap_legacy_per_sample", ll_gap_legacy);
     report.quality("iterations", r_batched.report.iterations as f64);
     report.finish();
 }

@@ -15,8 +15,6 @@
 //! | `clt` | §3.4 — Berry–Esseen convergence of the FO4 chain |
 //! | `ablation_quality` | DESIGN.md ablations — init / M-step / reduction quality |
 
-pub mod legacy;
-
 use std::time::Instant;
 
 use lvf2_obs::json::Value;

@@ -543,3 +543,21 @@ fn fit_rejects_garbage_input() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("invalid sample"));
 }
+
+#[test]
+fn fit_rejects_non_finite_samples_without_panicking() {
+    let dir = tempdir();
+    let bad = dir.join("nan.txt");
+    std::fs::write(&bad, "1 2 3 4 5 6 7 8 9 nan\n").expect("write");
+    for model in ["lvf2", "norm2"] {
+        let out = lvf2()
+            .args(["fit", bad.to_str().expect("utf8"), "--model", model])
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{model}: fit accepted NaN");
+        assert_ne!(out.status.code(), Some(101), "{model}: panicked: {stderr}");
+        assert!(!stderr.contains("panicked"), "{model}: {stderr}");
+        assert!(stderr.contains("must be finite"), "{model}: {stderr}");
+    }
+}

@@ -17,25 +17,6 @@ pub enum MStep {
     WeightedMoments,
 }
 
-/// Numerical engine for the EM hot path.
-///
-/// Both engines share the exact same math — the batched engine only changes
-/// *where* loop-invariant work happens (constant hoisting, buffer reuse,
-/// chunked slice evaluation via [`lvf2_stats::kernels`]) and is required to
-/// produce bit-identical fits. `tests/batched_equivalence.rs` pins that
-/// contract; `docs/PERFORMANCE.md` documents the summation-order rules that
-/// make it hold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Batched kernels + reusable [`crate::FitWorkspace`] (the default):
-    /// zero steady-state allocations, fused E-step.
-    #[default]
-    Batched,
-    /// Straight-line per-sample reference loops. Kept as the ground truth
-    /// the batched engine is tested against; allocates per iteration.
-    ScalarReference,
-}
-
 /// Initialization strategy for the LVF² EM algorithm.
 ///
 /// The paper initializes with k-means + method of moments; this crate adds a
@@ -90,9 +71,6 @@ pub struct FitConfig {
     /// Random seed for tie-breaking/perturbations (fits are deterministic
     /// given data + config).
     pub seed: u64,
-    /// Numerical engine for the EM hot path. Fits are bit-identical across
-    /// engines; only speed and allocation behaviour differ.
-    pub engine: Engine,
 }
 
 impl Default for FitConfig {
@@ -107,7 +85,6 @@ impl Default for FitConfig {
             min_weight: 1e-3,
             min_sigma_ratio: 1e-3,
             seed: 0x5eed,
-            engine: Engine::default(),
         }
     }
 }
@@ -159,12 +136,6 @@ impl FitConfig {
         self.seed = seed;
         self
     }
-
-    /// Sets the numerical engine for the EM hot path.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -178,20 +149,12 @@ mod tests {
             .with_tolerance(1e-3)
             .with_inner_evals(10)
             .with_m_step(MStep::WeightedMoments)
-            .with_seed(42)
-            .with_engine(Engine::ScalarReference);
+            .with_seed(42);
         assert_eq!(cfg.max_iterations, 5);
         assert_eq!(cfg.tolerance, 1e-3);
         assert_eq!(cfg.inner_evals, 10);
         assert_eq!(cfg.m_step, MStep::WeightedMoments);
         assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.engine, Engine::ScalarReference);
-    }
-
-    #[test]
-    fn default_engine_is_batched() {
-        assert_eq!(FitConfig::default().engine, Engine::Batched);
-        assert_eq!(FitConfig::fast().engine, Engine::Batched);
     }
 
     #[test]

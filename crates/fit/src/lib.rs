@@ -57,7 +57,7 @@ pub mod weighted;
 pub mod workspace;
 
 pub use batch::{fit_lvf2_batch, fit_sn_mixture_batch};
-pub use config::{Engine, FitConfig, InitStrategy, MStep};
+pub use config::{FitConfig, InitStrategy, MStep};
 pub use error::FitError;
 pub use kmeans::{kmeans1d, kmeans1d_with, KMeansResult};
 pub use lesn::{fit_lesn, fit_lesn_moments};

@@ -12,20 +12,17 @@
 //! - **Termination**: mean incomplete-data log-likelihood improvement below
 //!   `tolerance`, or the iteration cap.
 //!
-//! Two engines share the algorithm (selected by [`FitConfig::engine`]):
-//! [`Engine::Batched`] evaluates component densities with the batched kernels
-//! of [`lvf2_stats::kernels`] and keeps every buffer in a reusable
-//! [`FitWorkspace`] (zero steady-state allocations);
-//! [`Engine::ScalarReference`] is the straight-line per-sample loop the
-//! batched engine is tested bit-identical against
-//! (`tests/batched_equivalence.rs`).
+//! Component densities come from the batched kernels of
+//! [`lvf2_stats::kernels`], and every buffer lives in a reusable
+//! [`FitWorkspace`] (zero steady-state allocations). `tests/golden_fits.rs`
+//! pins the exact fits.
 
 use lvf2_obs::{FitEvent, Obs};
 use lvf2_stats::{Distribution, Lvf2, Moments, SampleMoments, SkewNormal};
 
-use crate::config::{Engine, FitConfig, InitStrategy, MStep};
-use crate::kmeans::{kmeans1d, kmeans1d_with};
-use crate::nelder_mead::{nelder_mead, nelder_mead_with, NelderMeadOptions};
+use crate::config::{FitConfig, InitStrategy, MStep};
+use crate::kmeans::kmeans1d_with;
+use crate::nelder_mead::{nelder_mead_with, NelderMeadOptions};
 use crate::report::{FitReport, Fitted};
 use crate::weighted::weighted_moments;
 use crate::workspace::{reset, FitWorkspace, MStepScratch};
@@ -75,9 +72,9 @@ pub fn fit_lvf2(samples: &[f64], config: &FitConfig) -> Result<Fitted<Lvf2>, Fit
 /// [`fit_lvf2`] with caller-provided scratch memory.
 ///
 /// Reusing one [`FitWorkspace`] across fits removes all steady-state heap
-/// allocations from the EM hot path (with the default
-/// [`Engine::Batched`]) — `tests/no_alloc.rs` pins this. Results are
-/// bit-identical to [`fit_lvf2`] whether the workspace is fresh or recycled.
+/// allocations from the EM hot path — `tests/no_alloc.rs` pins this.
+/// Results are bit-identical to [`fit_lvf2`] whether the workspace is fresh
+/// or recycled.
 ///
 /// # Errors
 ///
@@ -130,40 +127,14 @@ fn fit_lvf2_impl(
         InitStrategy::Best | InitStrategy::KMeansMoments
     );
     let want_scale = matches!(config.init, InitStrategy::Best | InitStrategy::ScaleSplit);
-    // Both engines produce the same clustering; the batched one runs inside
-    // the workspace's scratch.
-    let (sizes, kmeans_init) = match config.engine {
-        Engine::Batched => {
-            kmeans1d_with(samples, 2, config.kmeans_iterations, &mut ws.kmeans)?;
-            let mut sizes = [0usize; 2];
-            ws.kmeans.sizes_into(&mut sizes);
-            let init = if want_kmeans && sizes[0] >= 4 && sizes[1] >= 4 {
-                gather_cluster(&mut ws.cluster, samples, ws.kmeans.assignments(), 0);
-                let c1 = cluster_skew_normal(&ws.cluster, sigma_floor)?;
-                gather_cluster(&mut ws.cluster, samples, ws.kmeans.assignments(), 1);
-                let c2 = cluster_skew_normal(&ws.cluster, sigma_floor)?;
-                Some((c1, c2))
-            } else {
-                None
-            };
-            (sizes, init)
-        }
-        Engine::ScalarReference => {
-            let km = kmeans1d(samples, 2, config.kmeans_iterations)?;
-            let sizes = km.sizes();
-            let sizes = [sizes[0], sizes[1]];
-            let init = if want_kmeans && sizes[0] >= 4 && sizes[1] >= 4 {
-                Some((
-                    cluster_skew_normal(&km.cluster(samples, 0), sigma_floor)?,
-                    cluster_skew_normal(&km.cluster(samples, 1), sigma_floor)?,
-                ))
-            } else {
-                None
-            };
-            (sizes, init)
-        }
-    };
-    if let Some((c1, c2)) = kmeans_init {
+    kmeans1d_with(samples, 2, config.kmeans_iterations, &mut ws.kmeans)?;
+    let mut sizes = [0usize; 2];
+    ws.kmeans.sizes_into(&mut sizes);
+    if want_kmeans && sizes[0] >= 4 && sizes[1] >= 4 {
+        gather_cluster(&mut ws.cluster, samples, ws.kmeans.assignments(), 0);
+        let c1 = cluster_skew_normal(&ws.cluster, sigma_floor)?;
+        gather_cluster(&mut ws.cluster, samples, ws.kmeans.assignments(), 1);
+        let c2 = cluster_skew_normal(&ws.cluster, sigma_floor)?;
         inits[n_inits] = Some((c1, c2, sizes[1] as f64 / n as f64));
         n_inits += 1;
     } else if want_kmeans {
@@ -199,34 +170,22 @@ fn fit_lvf2_impl(
     for slot in inits.iter().take(n_inits) {
         let (c1, c2, l0) = slot.expect("init slot filled");
         // A later restart is abandoned once it provably trails the best
-        // finished restart (see the check inside the EM loops).
+        // finished restart (see the check inside `run_em`).
         let bar = best
             .as_ref()
             .map(|(_, b, _)| b.log_likelihood)
             .unwrap_or(f64::NEG_INFINITY);
-        let (model, report, traj) = match config.engine {
-            Engine::Batched => run_em_batched(
-                samples,
-                c1,
-                c2,
-                l0,
-                sigma_floor,
-                config,
-                collect_trajectory,
-                bar,
-                ws,
-            )?,
-            Engine::ScalarReference => run_em(
-                samples,
-                c1,
-                c2,
-                l0,
-                sigma_floor,
-                config,
-                collect_trajectory,
-                bar,
-            )?,
-        };
+        let (model, report, traj) = run_em(
+            samples,
+            c1,
+            c2,
+            l0,
+            sigma_floor,
+            config,
+            collect_trajectory,
+            bar,
+            ws,
+        )?;
         let better = match &best {
             None => true,
             Some((_, b, _)) => report.log_likelihood > b.log_likelihood,
@@ -248,105 +207,13 @@ fn fit_lvf2_impl(
     Ok(Fitted::new(model, report))
 }
 
-/// One EM run from a fixed initialization. `collect_trajectory` additionally
-/// returns the per-iteration log-likelihood (for debug telemetry).
-#[allow(clippy::too_many_arguments)] // mirrors run_em_batched minus workspace
-fn run_em(
-    samples: &[f64],
-    mut comp1: SkewNormal,
-    mut comp2: SkewNormal,
-    lambda0: f64,
-    sigma_floor: f64,
-    config: &FitConfig,
-    collect_trajectory: bool,
-    abandon_below: f64,
-) -> Result<(Lvf2, FitReport, Vec<f64>), FitError> {
-    let n = samples.len();
-    let mut lambda = lambda0.clamp(config.min_weight, 1.0 - config.min_weight);
-
-    // --- EM loop -------------------------------------------------------------
-    let mut resp1 = vec![0.0f64; n];
-    let mut prev_ll = f64::NEG_INFINITY;
-    let mut ll = f64::NEG_INFINITY;
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut trajectory = Vec::new();
-    for it in 0..config.max_iterations {
-        iterations = it + 1;
-
-        // E-step (Eq. 6), in log space for tail stability.
-        ll = 0.0;
-        let l1 = (1.0 - lambda).ln();
-        let l2 = lambda.ln();
-        for (i, &x) in samples.iter().enumerate() {
-            let a = l1 + comp1.ln_pdf(x);
-            let b = l2 + comp2.ln_pdf(x);
-            let m = a.max(b);
-            if m.is_finite() {
-                let log_tot = m + ((a - m).exp() + (b - m).exp()).ln();
-                resp1[i] = (a - log_tot).exp();
-                ll += log_tot;
-            } else {
-                resp1[i] = 0.5;
-                ll += -745.0; // both densities underflowed; cap the penalty
-            }
-        }
-
-        // λ update: λ = Σ(1 − zᵢ)/n.
-        let w1: f64 = resp1.iter().sum();
-        lambda = ((n as f64 - w1) / n as f64).clamp(config.min_weight, 1.0 - config.min_weight);
-
-        // M-step per component.
-        let resp2: Vec<f64> = resp1.iter().map(|z| 1.0 - z).collect();
-        comp1 = m_step_component(samples, &resp1, comp1, sigma_floor, config, it > 0);
-        comp2 = m_step_component(samples, &resp2, comp2, sigma_floor, config, it > 0);
-
-        if collect_trajectory {
-            trajectory.push(ll);
-        }
-        if (ll - prev_ll).abs() / (n as f64) < config.tolerance {
-            converged = true;
-            break;
-        }
-        // Restart pruning: EM improves monotonically with (in practice)
-        // shrinking steps, so once even `remaining × last_gain` cannot close
-        // the gap to a restart that already finished better, further
-        // iterations are wasted — the selection below keeps strictly the
-        // highest log-likelihood either way. On the first iteration
-        // `last_gain` is +∞ (prev_ll = −∞), which correctly disables the
-        // check. Identical in both engines (same ll sequence, same bar).
-        let remaining = (config.max_iterations - iterations) as f64;
-        let last_gain = (ll - prev_ll).max(0.0);
-        if ll + remaining * last_gain < abandon_below {
-            break;
-        }
-        prev_ll = ll;
-    }
-
-    // Canonical order: component 1 has the smaller mean (stable reporting).
-    if comp1.mean() > comp2.mean() {
-        std::mem::swap(&mut comp1, &mut comp2);
-        lambda = 1.0 - lambda;
-    }
-
-    let model = Lvf2::new(lambda, comp1, comp2)?;
-    Ok((
-        model,
-        FitReport {
-            log_likelihood: ll,
-            iterations,
-            converged,
-        },
-        trajectory,
-    ))
-}
-
-/// The batched-engine twin of [`run_em`]: identical arithmetic, identical
-/// accumulation order, but component densities come from one
+/// One EM run from a fixed initialization. Component densities come from one
 /// [`Distribution::ln_pdf_batch`] sweep per component and every buffer lives
 /// in the [`FitWorkspace`] — steady-state iterations allocate nothing.
-#[allow(clippy::too_many_arguments)] // mirrors run_em + workspace
-fn run_em_batched(
+/// `collect_trajectory` additionally returns the per-iteration
+/// log-likelihood (for debug telemetry).
+#[allow(clippy::too_many_arguments)]
+fn run_em(
     samples: &[f64],
     mut comp1: SkewNormal,
     mut comp2: SkewNormal,
@@ -383,7 +250,7 @@ fn run_em_batched(
         iterations = it + 1;
 
         // Component log-densities for the whole sample vector, one chunked
-        // sweep per component (bit-identical to per-sample `ln_pdf`).
+        // sweep per component.
         comp1.ln_pdf_batch(samples, logs1);
         comp2.ln_pdf_batch(samples, logs2);
 
@@ -415,8 +282,8 @@ fn run_em_batched(
         for (r2, &r1) in resp2.iter_mut().zip(resp1.iter()) {
             *r2 = 1.0 - r1;
         }
-        comp1 = m_step_component_with(samples, resp1, comp1, sigma_floor, config, it > 0, mstep);
-        comp2 = m_step_component_with(samples, resp2, comp2, sigma_floor, config, it > 0, mstep);
+        comp1 = m_step_component(samples, resp1, comp1, sigma_floor, config, it > 0, mstep);
+        comp2 = m_step_component(samples, resp2, comp2, sigma_floor, config, it > 0, mstep);
 
         if collect_trajectory {
             trajectory.push(ll);
@@ -431,7 +298,7 @@ fn run_em_batched(
         // iterations are wasted — the selection below keeps strictly the
         // highest log-likelihood either way. On the first iteration
         // `last_gain` is +∞ (prev_ll = −∞), which correctly disables the
-        // check. Identical in both engines (same ll sequence, same bar).
+        // check.
         let remaining = (config.max_iterations - iterations) as f64;
         let last_gain = (ll - prev_ll).max(0.0);
         if ll + remaining * last_gain < abandon_below {
@@ -459,7 +326,7 @@ fn run_em_batched(
 }
 
 /// Collects the samples assigned to cluster `j` into `out`, in input order —
-/// the allocation-free twin of [`crate::KMeansResult::cluster`].
+/// the allocation-free form of [`crate::KMeansResult::cluster`].
 pub(crate) fn gather_cluster(out: &mut Vec<f64>, xs: &[f64], assignments: &[usize], j: usize) {
     out.clear();
     out.extend(
@@ -489,8 +356,6 @@ fn cluster_skew_normal(cluster: &[f64], sigma_floor: f64) -> Result<SkewNormal, 
 /// `mle_mstep_beats_or_matches_moments_mstep_in_likelihood` regression
 /// test catches this), so the inner solve stays tight; wall time is won
 /// through warm starts and dominated-restart pruning instead.
-///
-/// Shared by both engines so their optimizers take bit-identical paths.
 const INNER_F_TOLERANCE: f64 = 1e-8;
 
 /// Initial Nelder–Mead simplex spread for the M-step.
@@ -500,7 +365,7 @@ const INNER_F_TOLERANCE: f64 = 1e-8;
 /// simplex needs room (0.05 per unit scale). Later iterations re-optimize
 /// from the previous M-step's own optimum, which EM moves only slightly —
 /// a 5×-smaller simplex converges in a fraction of the evaluations without
-/// changing where it converges to. Deterministic and engine-independent.
+/// changing where it converges to.
 #[inline]
 fn warm_initial_step(warm: bool) -> f64 {
     if warm {
@@ -513,77 +378,17 @@ fn warm_initial_step(warm: bool) -> f64 {
 /// One M-step for a single component under `weights` (shared with the
 /// K-component generalization in `mixture_em`).
 ///
+/// The weighted-MLE step compacts the support (`w > 1e-12`) once — the
+/// weights are fixed during the inner optimization — and evaluates the
+/// weighted negative log-likelihood with one
+/// [`Distribution::ln_pdf_batch`] sweep per objective call, inside the
+/// caller's scratch.
+///
 /// `warm` marks every EM iteration after the first: `current` is then the
 /// previous M-step's own optimum, so the Nelder–Mead simplex starts at a
 /// fifth of the cold-start spread instead of re-exploring the whole
 /// neighbourhood ([`warm_initial_step`]).
 pub(crate) fn m_step_component(
-    xs: &[f64],
-    weights: &[f64],
-    current: SkewNormal,
-    sigma_floor: f64,
-    config: &FitConfig,
-    warm: bool,
-) -> SkewNormal {
-    match config.m_step {
-        MStep::WeightedMoments => match weighted_moments(xs, weights) {
-            Some(m) => {
-                let m = Moments::new(m.mean, m.sigma.max(sigma_floor), m.skewness);
-                SkewNormal::from_moments_clamped(m).unwrap_or(current)
-            }
-            None => current,
-        },
-        MStep::WeightedMle => {
-            // Maximize Σ wᵢ ln f_SN(xᵢ; ξ, e^{lw}, α) with Nelder–Mead.
-            let objective = |p: &[f64]| -> f64 {
-                let (xi, lw, alpha) = (p[0], p[1], p[2]);
-                if !xi.is_finite() || !lw.is_finite() || alpha.abs() > ALPHA_BOUND {
-                    return f64::INFINITY;
-                }
-                let omega = lw.exp();
-                if omega < sigma_floor * 0.1 || !omega.is_finite() {
-                    return f64::INFINITY;
-                }
-                let Ok(sn) = SkewNormal::new(xi, omega, alpha) else {
-                    return f64::INFINITY;
-                };
-                let mut nll = 0.0;
-                for (&x, &w) in xs.iter().zip(weights) {
-                    if w > 1e-12 {
-                        nll -= w * sn.ln_pdf(x);
-                    }
-                }
-                if nll.is_finite() {
-                    nll
-                } else {
-                    f64::INFINITY
-                }
-            };
-            let x0 = [current.xi(), current.omega().ln(), current.alpha()];
-            let opts = NelderMeadOptions {
-                max_evals: config.inner_evals,
-                f_tolerance: INNER_F_TOLERANCE,
-                x_tolerance: 1e-8,
-                initial_step: warm_initial_step(warm),
-            };
-            let r = nelder_mead(objective, &x0, &opts);
-            if r.fx.is_finite() {
-                SkewNormal::new(r.x[0], r.x[1].exp(), r.x[2]).unwrap_or(current)
-            } else {
-                current
-            }
-        }
-    }
-}
-
-/// The batched-engine twin of [`m_step_component`]: compacts the support
-/// (`w > 1e-12`) once per M-step — the weights are fixed during the inner
-/// optimization — and evaluates the weighted negative log-likelihood with one
-/// [`Distribution::ln_pdf_batch`] sweep per objective call, inside the
-/// caller's scratch. The nll accumulates over the same subset in the same
-/// order as the scalar reference, so the optimizer sees bit-identical values
-/// and takes the exact same path.
-pub(crate) fn m_step_component_with(
     xs: &[f64],
     weights: &[f64],
     current: SkewNormal,
@@ -762,19 +567,6 @@ mod tests {
     fn rejects_tiny_or_constant_input() {
         assert!(fit_lvf2(&[1.0, 2.0, 3.0], &FitConfig::default()).is_err());
         assert!(fit_lvf2(&[5.0; 100], &FitConfig::default()).is_err());
-    }
-
-    #[test]
-    fn engines_produce_bit_identical_fits() {
-        let truth = bimodal_truth();
-        let mut rng = StdRng::seed_from_u64(17);
-        let xs = truth.sample_n(&mut rng, 1500);
-        for cfg in [FitConfig::default(), FitConfig::fast()] {
-            let batched = fit_lvf2(&xs, &cfg).unwrap();
-            let scalar = fit_lvf2(&xs, &cfg.clone().with_engine(Engine::ScalarReference)).unwrap();
-            assert_eq!(batched.model, scalar.model, "m_step {:?}", cfg.m_step);
-            assert_eq!(batched.report, scalar.report, "m_step {:?}", cfg.m_step);
-        }
     }
 
     #[test]

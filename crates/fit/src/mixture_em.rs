@@ -9,9 +9,9 @@
 use lvf2_obs::{FitEvent, Obs};
 use lvf2_stats::{Distribution, Mixture, Moments, SampleMoments, SkewNormal};
 
-use crate::config::{Engine, FitConfig};
-use crate::kmeans::{kmeans1d, kmeans1d_with};
-use crate::lvf2::{gather_cluster, m_step_component, m_step_component_with};
+use crate::config::FitConfig;
+use crate::kmeans::kmeans1d_with;
+use crate::lvf2::{gather_cluster, m_step_component};
 use crate::report::{FitReport, Fitted};
 use crate::workspace::{reset, FitWorkspace};
 use crate::FitError;
@@ -105,88 +105,46 @@ fn fit_sn_mixture_impl(
     let sigma_floor = config.min_sigma_ratio * global.std_dev();
 
     // --- Initialization: k-means + per-cluster method of moments -----------
-    // Both engines produce the same clustering; the batched one reuses the
-    // workspace's scratch and gather buffers.
     let mut comps: Vec<SkewNormal> = Vec::with_capacity(k);
     let mut weights: Vec<f64> = Vec::with_capacity(k);
     let mut degenerate_components = 0usize;
-    match config.engine {
-        Engine::Batched => {
-            kmeans1d_with(samples, k, config.kmeans_iterations, &mut ws.kmeans)?;
-            for j in 0..k {
-                gather_cluster(&mut ws.cluster, samples, ws.kmeans.assignments(), j);
-                let comp = if ws.cluster.len() >= 4 {
-                    let m = SampleMoments::from_samples(&ws.cluster)?;
-                    SkewNormal::from_moments_clamped(Moments::new(
-                        m.mean,
-                        m.std_dev().max(sigma_floor),
-                        m.skewness,
-                    ))?
-                } else {
-                    // Empty-ish cluster: seed from the global fit near its center.
-                    degenerate_components += 1;
-                    let centers = ws.kmeans.centers();
-                    SkewNormal::from_moments_clamped(Moments::new(
-                        centers[j.min(centers.len() - 1)],
-                        global.std_dev(),
-                        global.skewness,
-                    ))?
-                };
-                comps.push(comp);
-                let size = ws.cluster.len();
-                weights.push((size.max(1) as f64 / n as f64).max(config.min_weight));
-            }
-        }
-        Engine::ScalarReference => {
-            let km = kmeans1d(samples, k, config.kmeans_iterations)?;
-            let sizes = km.sizes();
-            #[allow(clippy::needless_range_loop)] // j indexes clusters, sizes and centers together
-            for j in 0..k {
-                let cluster = km.cluster(samples, j);
-                let comp = if cluster.len() >= 4 {
-                    let m = SampleMoments::from_samples(&cluster)?;
-                    SkewNormal::from_moments_clamped(Moments::new(
-                        m.mean,
-                        m.std_dev().max(sigma_floor),
-                        m.skewness,
-                    ))?
-                } else {
-                    // Empty-ish cluster: seed from the global fit near its center.
-                    degenerate_components += 1;
-                    SkewNormal::from_moments_clamped(Moments::new(
-                        km.centers[j.min(km.centers.len() - 1)],
-                        global.std_dev(),
-                        global.skewness,
-                    ))?
-                };
-                comps.push(comp);
-                weights.push((sizes[j].max(1) as f64 / n as f64).max(config.min_weight));
-            }
-        }
+    kmeans1d_with(samples, k, config.kmeans_iterations, &mut ws.kmeans)?;
+    for j in 0..k {
+        gather_cluster(&mut ws.cluster, samples, ws.kmeans.assignments(), j);
+        let comp = if ws.cluster.len() >= 4 {
+            let m = SampleMoments::from_samples(&ws.cluster)?;
+            SkewNormal::from_moments_clamped(Moments::new(
+                m.mean,
+                m.std_dev().max(sigma_floor),
+                m.skewness,
+            ))?
+        } else {
+            // Empty-ish cluster: seed from the global fit near its center.
+            degenerate_components += 1;
+            let centers = ws.kmeans.centers();
+            SkewNormal::from_moments_clamped(Moments::new(
+                centers[j.min(centers.len() - 1)],
+                global.std_dev(),
+                global.skewness,
+            ))?
+        };
+        comps.push(comp);
+        let size = ws.cluster.len();
+        weights.push((size.max(1) as f64 / n as f64).max(config.min_weight));
     }
     normalize(&mut weights);
 
     // --- EM loop -------------------------------------------------------------
     let collect_trajectory = obs.debug_data_enabled();
-    let (ll, iterations, converged, trajectory) = match config.engine {
-        Engine::Batched => em_loop_batched(
-            samples,
-            &mut comps,
-            &mut weights,
-            sigma_floor,
-            config,
-            collect_trajectory,
-            ws,
-        ),
-        Engine::ScalarReference => em_loop_scalar(
-            samples,
-            &mut comps,
-            &mut weights,
-            sigma_floor,
-            config,
-            collect_trajectory,
-        ),
-    };
+    let (ll, iterations, converged, trajectory) = em_loop(
+        samples,
+        &mut comps,
+        &mut weights,
+        sigma_floor,
+        config,
+        collect_trajectory,
+        ws,
+    );
 
     // Canonical order by component mean.
     let mut order: Vec<usize> = (0..k).collect();
@@ -219,79 +177,11 @@ fn fit_sn_mixture_impl(
     ))
 }
 
-/// The per-sample reference EM loop ([`Engine::ScalarReference`]) — the
-/// ground truth the batched loop is tested bit-identical against.
-fn em_loop_scalar(
-    samples: &[f64],
-    comps: &mut [SkewNormal],
-    weights: &mut [f64],
-    sigma_floor: f64,
-    config: &FitConfig,
-    collect_trajectory: bool,
-) -> (f64, usize, bool, Vec<f64>) {
-    let n = samples.len();
-    let k = comps.len();
-    let mut resp = vec![vec![0.0f64; k]; n];
-    let mut prev_ll = f64::NEG_INFINITY;
-    let mut ll = f64::NEG_INFINITY;
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut trajectory = Vec::new();
-    for it in 0..config.max_iterations {
-        iterations = it + 1;
-
-        // E-step (K-way, log space).
-        ll = 0.0;
-        let logw: Vec<f64> = weights.iter().map(|w| w.ln()).collect();
-        for (i, &x) in samples.iter().enumerate() {
-            let mut logs = vec![0.0f64; k];
-            let mut maxv = f64::NEG_INFINITY;
-            for j in 0..k {
-                logs[j] = logw[j] + comps[j].ln_pdf(x);
-                maxv = maxv.max(logs[j]);
-            }
-            if maxv.is_finite() {
-                let log_tot = maxv + logs.iter().map(|l| (l - maxv).exp()).sum::<f64>().ln();
-                for j in 0..k {
-                    resp[i][j] = (logs[j] - log_tot).exp();
-                }
-                ll += log_tot;
-            } else {
-                for r in resp[i].iter_mut() {
-                    *r = 1.0 / k as f64;
-                }
-                ll += -745.0;
-            }
-        }
-
-        // Weight update + per-component M-step.
-        for j in 0..k {
-            let wj: Vec<f64> = resp.iter().map(|r| r[j]).collect();
-            let total: f64 = wj.iter().sum();
-            weights[j] = (total / n as f64).max(config.min_weight);
-            comps[j] = m_step_component(samples, &wj, comps[j], sigma_floor, config, it > 0);
-        }
-        normalize(weights);
-
-        if collect_trajectory {
-            trajectory.push(ll);
-        }
-        if (ll - prev_ll).abs() / (n as f64) < config.tolerance {
-            converged = true;
-            break;
-        }
-        prev_ll = ll;
-    }
-    (ll, iterations, converged, trajectory)
-}
-
-/// The batched EM loop ([`Engine::Batched`]): per-component densities come
-/// from one [`Distribution::ln_pdf_batch`] sweep each, the responsibility
-/// matrix is one flat row-major buffer, and all scratch lives in the
-/// [`FitWorkspace`] — steady-state iterations allocate nothing. Every
-/// accumulation runs in the same order as [`em_loop_scalar`], so the fits are
-/// bit-identical.
-fn em_loop_batched(
+/// The K-way EM loop: per-component densities come from one
+/// [`Distribution::ln_pdf_batch`] sweep each, the responsibility matrix is
+/// one flat row-major buffer, and all scratch lives in the [`FitWorkspace`] —
+/// steady-state iterations allocate nothing.
+fn em_loop(
     samples: &[f64],
     comps: &mut [SkewNormal],
     weights: &mut [f64],
@@ -363,8 +253,7 @@ fn em_loop_batched(
             }
             let total: f64 = wj.iter().sum();
             weights[j] = (total / n as f64).max(config.min_weight);
-            comps[j] =
-                m_step_component_with(samples, wj, comps[j], sigma_floor, config, it > 0, mstep);
+            comps[j] = m_step_component(samples, wj, comps[j], sigma_floor, config, it > 0, mstep);
         }
         normalize(weights);
 
@@ -447,20 +336,6 @@ mod tests {
     fn rejects_bad_orders_and_tiny_data() {
         assert!(fit_sn_mixture(&[1.0; 100], 0, &FitConfig::default()).is_err());
         assert!(fit_sn_mixture(&[1.0, 2.0, 3.0], 2, &FitConfig::default()).is_err());
-    }
-
-    #[test]
-    fn engines_produce_bit_identical_mixtures() {
-        let truth = three_peak_truth();
-        let mut rng = StdRng::seed_from_u64(45);
-        let xs = truth.sample_n(&mut rng, 2500);
-        for cfg in [FitConfig::default(), FitConfig::fast()] {
-            let batched = fit_sn_mixture(&xs, 3, &cfg).unwrap();
-            let scalar =
-                fit_sn_mixture(&xs, 3, &cfg.clone().with_engine(Engine::ScalarReference)).unwrap();
-            assert_eq!(batched.model, scalar.model, "m_step {:?}", cfg.m_step);
-            assert_eq!(batched.report, scalar.report, "m_step {:?}", cfg.m_step);
-        }
     }
 
     #[test]

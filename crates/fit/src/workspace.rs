@@ -1,7 +1,6 @@
 //! Reusable scratch memory for the EM hot path.
 //!
-//! A [`FitWorkspace`] owns every buffer the batched engine
-//! ([`Engine::Batched`](crate::Engine::Batched)) needs: the responsibility
+//! A [`FitWorkspace`] owns every buffer the EM needs: the responsibility
 //! vectors, per-component log-density slices, the Nelder–Mead simplex, the
 //! k-means assignment arrays and the M-step compaction buffers. Allocate one
 //! per arc (or one per worker thread — see [`crate::fit_lvf2_batch`]) and
@@ -18,7 +17,7 @@
 /// first fit) and pass to [`crate::fit_lvf2_with`] /
 /// [`crate::fit_sn_mixture_with`]. Reusing a workspace never changes
 /// results — fits are bit-identical whether the workspace is fresh or
-/// recycled, and identical to the scalar reference engine.
+/// recycled.
 ///
 /// # Example
 ///

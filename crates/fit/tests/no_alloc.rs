@@ -1,8 +1,8 @@
 //! Steady-state allocation regression tests.
 //!
-//! The batched engine's contract (ISSUE 5) is that once a
-//! [`FitWorkspace`]'s buffers have grown to a dataset's high-water mark,
-//! repeating the fit performs **zero** heap allocations. These tests pin
+//! The EM's contract is that once a [`FitWorkspace`]'s buffers have grown
+//! to a dataset's high-water mark, repeating the fit performs **zero** heap
+//! allocations. These tests pin
 //! that with a counting global allocator: the first call is a warm-up that
 //! may allocate freely; the second call over the same data must not touch
 //! the allocator at all.

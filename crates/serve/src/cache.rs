@@ -9,17 +9,13 @@
 //! - the slew/load ladders of the grid,
 //! - the Monte-Carlo sample budget,
 //! - every field of the effective [`VariationSpace`],
-//! - every *numerical* field of the [`FitConfig`],
+//! - every field of the [`FitConfig`],
 //! - for tail-yield keys: the sampler mode, σ target, and draw budget.
 //!
-//! Two things are deliberately **excluded**, and their exclusion is exactly
-//! why a cache hit is sound:
-//!
-//! - **Parallelism** (thread count, chunk size): the pipeline is
-//!   bit-identical at any thread count (`lvf2-parallel`'s contract, pinned
-//!   by `tests/parallel_determinism.rs`).
-//! - **The fit engine** (`Batched` vs `ScalarReference`): both engines
-//!   produce bit-identical fits (`tests/batched_equivalence.rs`).
+//! **Parallelism** (thread count, chunk size) is deliberately **excluded**:
+//! the pipeline is bit-identical at any thread count (`lvf2-parallel`'s
+//! contract, pinned by `tests/parallel_determinism.rs`), which is exactly
+//! why a cache hit is sound.
 //!
 //! Floats are hashed via [`f64::to_bits`] — keys distinguish `-0.0` from
 //! `0.0` and never round. Keys are computed from the *typed* request
@@ -140,8 +136,8 @@ fn hash_common(h: &mut KeyHasher, spec: &TimingArcSpec, opts: &FlowOptions) {
     h.label("fit.min_weight").f64(f.min_weight);
     h.label("fit.min_sigma_ratio").f64(f.min_sigma_ratio);
     h.label("fit.seed").u64(f.seed);
-    // NOT hashed: opts.parallelism, opts.obs, f.engine — none may change a
-    // result (see the module docs).
+    // NOT hashed: opts.parallelism, opts.obs — neither may change a result
+    // (see the module docs).
 }
 
 /// The cache key for one arc's [`lvf2::flow::characterize_arc_models`]

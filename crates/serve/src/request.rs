@@ -7,14 +7,13 @@
 //! APIs are one config path, not two. Unknown keys are errors (they are
 //! almost always typos of real knobs).
 //!
-//! The job schema is documented in `docs/SERVER.md`. Two deliberate
-//! omissions from the schema: `parallelism` (a server-side resource
-//! decision, configured by `lvf2 serve --threads`) and the fit `engine`
-//! (numerical engines are bit-identical by contract) — neither may change a
-//! result, so neither belongs to a request or its cache key.
+//! The job schema is documented in `docs/SERVER.md`. One deliberate
+//! omission from the schema: `parallelism` is a server-side resource
+//! decision, configured by `lvf2 serve --threads`. It cannot change a
+//! result, so it belongs to neither a request nor its cache key.
 
 use lvf2::cells::{CellType, SlewLoadGrid};
-use lvf2::fit::{Engine, FitConfig, InitStrategy, MStep};
+use lvf2::fit::{FitConfig, InitStrategy, MStep};
 use lvf2::flow::{FlowOptions, TailYieldRequest};
 use lvf2::mc::{McMode, VariationSpace};
 use lvf2::{Lvf2Error, ModelKind};
@@ -257,10 +256,6 @@ fn decode_fit(v: &Value) -> Result<FitConfig, Lvf2Error> {
             other => return Err(invalid("options.fit", format!("unknown key `{other}`"))),
         }
     }
-    // `engine` is intentionally not accepted: the numerical engines are
-    // bit-identical by contract, so it is an operator decision, never a
-    // request's. Keep whatever the preset had.
-    cfg.engine = Engine::default();
     Ok(cfg)
 }
 
@@ -545,7 +540,7 @@ mod tests {
                 r#"{"type":"characterize","cells":["INV"],"options":{"fit":{"engine":"scalar"}}}"#
             )
             .is_err(),
-            "the numerical engine is not a request knob"
+            "`engine` is not a fit option"
         );
     }
 

@@ -155,9 +155,8 @@ impl TimingGraph {
             .arrivals)
     }
 
-    /// Serial reference propagation over the raw edge list — the
-    /// `ScalarReference`-style path the CSR engine is equivalence-tested
-    /// against.
+    /// Serial reference propagation over the raw edge list — the naive
+    /// path the CSR engine is equivalence-tested against.
     ///
     /// Scans the whole edge `Vec` per node (O(V·E)): deliberately naive, no
     /// shared code with [`CsrGraph`], but the identical fold contract —

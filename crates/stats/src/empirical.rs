@@ -3,6 +3,7 @@
 //! The "golden" reference in every experiment is the Monte-Carlo sample set;
 //! these tools turn raw samples into the quantities the error metrics need.
 
+use crate::error::ensure_finite;
 use crate::moments::{FourMoments, Moments};
 use crate::StatsError;
 
@@ -44,7 +45,9 @@ impl SampleMoments {
     ///
     /// # Errors
     ///
-    /// [`StatsError::NotEnoughSamples`] for fewer than 2 samples.
+    /// [`StatsError::NotEnoughSamples`] for fewer than 2 samples;
+    /// [`StatsError::NonFinite`] when the mean or variance is not finite —
+    /// a NaN or ±∞ sample, or magnitudes large enough to overflow.
     pub fn from_samples(xs: &[f64]) -> Result<Self, StatsError> {
         if xs.len() < 2 {
             return Err(StatsError::NotEnoughSamples {
@@ -63,6 +66,8 @@ impl SampleMoments {
             m4 += d2 * d2;
         }
         m2 /= n;
+        ensure_finite("sample mean", mean)?;
+        ensure_finite("sample variance", m2)?;
         m3 /= n;
         m4 /= n;
         let sd = m2.sqrt();
@@ -331,6 +336,23 @@ mod tests {
     fn moments_reject_tiny_input() {
         assert!(SampleMoments::from_samples(&[1.0]).is_err());
         assert!(SampleMoments::from_samples(&[]).is_err());
+    }
+
+    #[test]
+    fn moments_reject_non_finite_input() {
+        let nonfinite = |xs: &[f64]| {
+            matches!(
+                SampleMoments::from_samples(xs),
+                Err(StatsError::NonFinite { .. })
+            )
+        };
+        assert!(nonfinite(&[1.0, 2.0, f64::NAN]));
+        assert!(nonfinite(&[1.0, 2.0, f64::INFINITY]));
+        assert!(nonfinite(&[f64::NEG_INFINITY, 1.0, 2.0]));
+        // Finite samples whose sum overflows, and whose squared deviations
+        // overflow around a finite mean.
+        assert!(nonfinite(&[1e308, 1e308, 1e308]));
+        assert!(nonfinite(&[1e308, -1e308]));
     }
 
     #[test]
