@@ -8,7 +8,8 @@
 //!
 //! - `cold_ms` — first submission, cache empty (lower better);
 //! - `warm_ms` — min over `--warm-repeats` repeats, cache full (lower better);
-//! - `speedup` — `cold_ms / warm_ms` (higher better; asserted ≥ 10);
+//! - `speedup` — `cold_ms / warm_ms` (higher better; asserted ≥ 100,
+//!   which a Nagle/delayed-ACK stall on the round trip would break);
 //! - `hit_rate` — warm-phase cache hits / lookups (asserted = 1);
 //! - `bit_identical` — 1.0 iff every warm library matches the cold one
 //!   byte for byte (asserted);
@@ -37,11 +38,12 @@ fn main() {
     let _obs = obs_init();
     // Warm latency is dominated by response serialization and is independent
     // of the sample count; 4000 samples keeps the cold phase comfortably
-    // above the asserted 10x separation without stretching CI.
+    // above the asserted 100x separation without stretching CI.
     let samples: usize = arg("--samples", 4000);
     let grid: String = arg("--grid", "3x3".to_string());
     let warm_repeats: usize = arg("--warm-repeats", 3usize).max(1);
     let workers: usize = arg("--workers", 2);
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let job = json::parse(&format!(
         r#"{{"type":"characterize","cells":["INV","NAND2","XOR2"],
@@ -69,6 +71,7 @@ fn main() {
     report.param("grid", grid.as_str());
     report.param("warm_repeats", warm_repeats as f64);
     report.param("workers", workers as f64);
+    report.param("host_cores", host_cores as f64);
     report.param("cells", "INV,NAND2,XOR2");
 
     // Phase 1 — cold: the cache is empty, every arc pays MC + EM.
@@ -150,8 +153,8 @@ fn main() {
         "warm phase must be all hits, got {hit_rate}"
     );
     assert!(
-        speedup >= 10.0,
-        "warm repeat must be at least 10x faster than cold, got {speedup:.1}x \
+        speedup >= 100.0,
+        "warm repeat must be at least 100x faster than cold, got {speedup:.1}x \
          (cold {cold_ms:.2} ms, warm {warm_ms:.2} ms)"
     );
 

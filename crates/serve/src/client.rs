@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use lvf2_obs::json::Value;
 
-use crate::proto::{read_frame, write_frame, Envelope, ProtoError, TraceInfo};
+use crate::proto::{envelope_id, read_frame, write_frame, Envelope, ProtoError, TraceInfo};
 
 /// Default socket read/write timeout: generous — it exists to detect a
 /// dead daemon, not to race healthy characterization jobs.
@@ -212,13 +212,17 @@ impl Client {
     }
 
     /// Connects with an explicit socket read/write timeout (0 disables —
-    /// only sensible in tests).
+    /// only sensible in tests). The socket has Nagle off (`TCP_NODELAY`):
+    /// each request is one whole frame, and holding its tail for the
+    /// daemon's delayed ACK would stall every round trip.
     ///
     /// # Errors
     ///
-    /// Connection I/O errors.
+    /// Connection I/O errors, including a failure to set the socket
+    /// options.
     pub fn connect_with_timeout(addr: &str, io_timeout_ms: u64) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         if io_timeout_ms > 0 {
             let t = Some(Duration::from_millis(io_timeout_ms));
             stream.set_read_timeout(t)?;
@@ -267,9 +271,10 @@ impl Client {
     /// # Errors
     ///
     /// [`ClientError::Proto`] for transport failures (including a server
-    /// that closed without answering), [`ClientError::Timeout`] when the
-    /// socket times out, [`ClientError::Server`] when the response is
-    /// `ok: false`.
+    /// that closed without answering, and a response whose `id` is not
+    /// this request's — e.g. the late reply to a call that timed out),
+    /// [`ClientError::Timeout`] when the socket times out,
+    /// [`ClientError::Server`] when the response is `ok: false`.
     pub fn call(&mut self, job: Value) -> Result<Response, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
@@ -287,7 +292,7 @@ impl Client {
         let frame = read_frame(&mut self.stream)
             .map_err(|e| self.map_io("read", e))?
             .ok_or_else(|| ProtoError::Malformed("server closed before responding".into()))?;
-        decode_response(&frame)
+        decode_response(&frame, id)
     }
 
     /// As [`Client::call`], retrying retryable failures under `policy`:
@@ -380,11 +385,32 @@ impl Client {
     }
 }
 
-fn decode_response(frame: &[u8]) -> Result<Response, ClientError> {
+/// Decodes the response to request `expected_id`. A response carrying any
+/// other id is [`ProtoError::Malformed`], except id 0 on the
+/// connection-level errors (`bad_request`, `timeout`) the server sends
+/// when it cannot attribute a frame to a request.
+fn decode_response(frame: &[u8], expected_id: u64) -> Result<Response, ClientError> {
     let text = std::str::from_utf8(frame)
         .map_err(|e| ProtoError::Malformed(format!("non-UTF-8 response: {e}")))?;
     let v = lvf2_obs::json::parse(text).map_err(ProtoError::Malformed)?;
-    let id = v.get("id").and_then(Value::as_f64).unwrap_or(0.0) as u64;
+    let id = v
+        .get("id")
+        .ok_or_else(|| ProtoError::Malformed("response missing `id`".into()))
+        .and_then(envelope_id)?;
+    let connection_level = id == 0
+        && v.get("ok") == Some(&Value::Bool(false))
+        && matches!(
+            v.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Value::as_str),
+            Some("bad_request" | "timeout")
+        );
+    if id != expected_id && !connection_level {
+        return Err(ProtoError::Malformed(format!(
+            "response id {id} does not answer request id {expected_id}"
+        ))
+        .into());
+    }
     match v.get("ok") {
         Some(Value::Bool(true)) => Ok(Response {
             id,
@@ -426,12 +452,12 @@ mod tests {
             Value::Obj(vec![("pong".into(), Value::from(1u64))]),
             Value::Obj(vec![]),
         );
-        let r = decode_response(&ok).unwrap();
+        let r = decode_response(&ok, 3).unwrap();
         assert_eq!(r.id, 3);
         assert_eq!(r.result.get("pong").unwrap().as_f64(), Some(1.0));
 
         let err = encode_err(4, "fit", "degenerate data");
-        match decode_response(&err).unwrap_err() {
+        match decode_response(&err, 4).unwrap_err() {
             ClientError::Server {
                 kind,
                 message,
@@ -446,9 +472,71 @@ mod tests {
     }
 
     #[test]
+    fn responses_must_answer_the_request_id() {
+        let ok = encode_ok(7, Value::Obj(vec![]), Value::Obj(vec![]));
+        assert!(matches!(
+            decode_response(&ok, 8),
+            Err(ClientError::Proto(ProtoError::Malformed(_)))
+        ));
+        // Id 0 is accepted only on the connection-level errors.
+        for kind in ["bad_request", "timeout"] {
+            match decode_response(&encode_err(0, kind, "x"), 8) {
+                Err(ClientError::Server { kind: k, .. }) => assert_eq!(k, kind),
+                other => panic!("{kind}: {other:?}"),
+            }
+        }
+        let stray = [
+            encode_err(0, "fit", "x"),
+            encode_ok(0, Value::Null, Value::Null),
+            br#"{"v":1,"ok":true,"result":{}}"#.to_vec(),
+            br#"{"v":1,"id":-8,"ok":true,"result":{}}"#.to_vec(),
+        ];
+        for frame in stray {
+            assert!(
+                matches!(
+                    decode_response(&frame, 8),
+                    Err(ClientError::Proto(ProtoError::Malformed(_)))
+                ),
+                "{}",
+                String::from_utf8_lossy(&frame)
+            );
+        }
+    }
+
+    #[test]
+    fn late_reply_to_a_timed_out_call_is_rejected() {
+        // A scripted peer that answers request 1 only after request 2 has
+        // arrived: the next call on a connection whose last call timed
+        // out reads that late reply first.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut next = || Envelope::decode(&read_frame(&mut s).unwrap().unwrap()).unwrap();
+            let (first, second) = (next().id, next().id);
+            let stale = encode_ok(
+                first,
+                Value::Obj(vec![("library".into(), Value::from("stale"))]),
+                Value::Obj(vec![]),
+            );
+            write_frame(&mut s, &stale).unwrap();
+            (first, second)
+        });
+        let mut c = Client::connect_with_timeout(&addr, 100).unwrap();
+        assert!(matches!(c.ping(), Err(ClientError::Timeout { .. })));
+        match c.ping() {
+            Err(ClientError::Proto(ProtoError::Malformed(m))) => {
+                assert!(m.contains("request id 2"), "{m}")
+            }
+            other => panic!("late reply must not answer the next call: {other:?}"),
+        }
+        assert_eq!(peer.join().unwrap(), (1, 2));
+    }
+
+    #[test]
     fn overloaded_responses_surface_retry_after() {
         let err = crate::proto::encode_err_with(5, "overloaded", "full", Some(75));
-        match decode_response(&err).unwrap_err() {
+        match decode_response(&err, 5).unwrap_err() {
             e @ ClientError::Server { .. } => {
                 assert!(e.is_retryable());
                 let ClientError::Server { retry_after_ms, .. } = e else {

@@ -57,7 +57,13 @@ impl From<std::io::Error> for ProtoError {
     }
 }
 
-/// Writes one `u32`-BE length-prefixed frame.
+/// Writes one `u32`-BE length-prefixed frame with a single `write_all`.
+///
+/// The prefix and payload go out as one buffer. Written separately, the
+/// 4-byte prefix leaves the socket as its own segment and Nagle holds the
+/// payload back until the peer's delayed ACK (40 ms or more on Linux) —
+/// a stall on every round trip. Both ends also set `TCP_NODELAY`, so the
+/// tail segment of a frame larger than one MSS is not held either.
 ///
 /// # Errors
 ///
@@ -71,8 +77,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError>
             MAX_FRAME
         )));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -82,14 +90,19 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError>
 ///
 /// # Errors
 ///
-/// I/O errors, or [`ProtoError::Malformed`] for an over-cap length prefix.
+/// I/O errors — including `UnexpectedEof` when the peer closes inside the
+/// length prefix or the payload — or [`ProtoError::Malformed`] for an
+/// over-cap length prefix.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtoError> {
     let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
+    // A close before the first prefix byte is clean; one after it
+    // truncates the frame.
+    match r.read_exact(&mut len[..1]) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e.into()),
     }
+    r.read_exact(&mut len[1..])?;
     let len = u32::from_be_bytes(len);
     if len > MAX_FRAME {
         return Err(ProtoError::Malformed(format!(
@@ -199,8 +212,8 @@ impl Envelope {
         }
         let id = v
             .get("id")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| ProtoError::Malformed("missing `id`".into()))?;
+            .ok_or_else(|| ProtoError::Malformed("missing `id`".into()))
+            .and_then(envelope_id)?;
         let job = v
             .get("job")
             .cloned()
@@ -219,12 +232,31 @@ impl Envelope {
             ),
         };
         Ok(Envelope {
-            id: id as u64,
+            id,
             job,
             trace,
             deadline_ms,
         })
     }
+}
+
+/// Largest integer a JSON number carries exactly (2⁵³): the ceiling on
+/// envelope ids.
+const MAX_EXACT_ID: f64 = 9_007_199_254_740_992.0;
+
+/// Reads an envelope `id`: a JSON integer in `0..=2⁵³`. Anything else —
+/// negative, fractional, too large to be exact, or not a number — is
+/// [`ProtoError::Malformed`], never silently coerced.
+pub(crate) fn envelope_id(v: &Value) -> Result<u64, ProtoError> {
+    v.as_f64()
+        .filter(|n| (0.0..=MAX_EXACT_ID).contains(n) && *n == n.trunc())
+        .map(|n| n as u64)
+        .ok_or_else(|| {
+            ProtoError::Malformed(format!(
+                "invalid `id` {}: expected an integer in 0..=2^53",
+                v.to_json()
+            ))
+        })
 }
 
 /// Encodes a success response.
@@ -300,6 +332,57 @@ mod tests {
     }
 
     #[test]
+    fn truncated_length_prefix_is_an_error_not_eof() {
+        assert!(
+            read_frame(&mut [0u8; 0].as_slice()).unwrap().is_none(),
+            "no bytes: clean close"
+        );
+        for n in 1..4 {
+            let prefix = vec![0u8; n];
+            match read_frame(&mut prefix.as_slice()) {
+                Err(ProtoError::Io(e)) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{n} bytes")
+                }
+                other => panic!("{n} prefix bytes: expected EOF error, got {other:?}"),
+            }
+        }
+    }
+
+    /// Accepts every byte offered and counts the `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        // Above 64 KiB a frame spans more than one loopback segment.
+        for len in [0, 7, 64 * 1024 + 1, 1 << 20] {
+            let payload = vec![b'x'; len];
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, 1, "{len}-byte payload");
+            assert_eq!(
+                read_frame(&mut w.bytes.as_slice()).unwrap().unwrap(),
+                payload
+            );
+        }
+    }
+
+    #[test]
     fn envelopes_round_trip() {
         let env = Envelope {
             id: 42,
@@ -372,6 +455,21 @@ mod tests {
         assert!(Envelope::decode(br#"{"v":1,"job":{}}"#).is_err());
         assert!(Envelope::decode(br#"{"v":1,"id":1}"#).is_err());
         assert!(Envelope::decode(b"not json").is_err());
+        // Ids are integers in 0..=2^53, never coerced.
+        for bad in ["-5", "1.5", "9007199254740994", "1e300", "\"7\"", "null"] {
+            let env = format!(r#"{{"v":1,"id":{bad},"job":{{}}}}"#);
+            assert!(
+                matches!(
+                    Envelope::decode(env.as_bytes()),
+                    Err(ProtoError::Malformed(_))
+                ),
+                "id {bad}"
+            );
+        }
+        for (good, id) in [("0", 0), ("9007199254740992", 1u64 << 53)] {
+            let env = format!(r#"{{"v":1,"id":{good},"job":{{}}}}"#);
+            assert_eq!(Envelope::decode(env.as_bytes()).unwrap().id, id);
+        }
     }
 
     #[test]

@@ -469,6 +469,9 @@ fn inject_frame_faults(frame: &mut Vec<u8>) {
 fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
     let obs = Obs::current();
     obs.inc("serve.connections", 1);
+    // Replies are whole frames; Nagle would hold a reply's tail segment
+    // for the client's delayed ACK. Best effort, like the timeouts.
+    let _ = stream.set_nodelay(true);
     if let Some(t) = shared.io_timeout {
         // Timeouts reap dead peers; failures to arm them are non-fatal.
         let _ = stream.set_read_timeout(Some(t));

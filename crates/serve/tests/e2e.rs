@@ -1,13 +1,15 @@
 //! End-to-end daemon test: multiple clients over real TCP, cache hits served
 //! bit-identically, and — the headline contract — a warm repeat of a full
 //! library job performing **zero** MC draws and **zero** EM runs, asserted
-//! through the process-global `lvf2-obs` metrics.
+//! through the process-global `lvf2-obs` metrics. Warm round trips must
+//! cost the service, not a Nagle/delayed-ACK stall.
 //!
 //! Everything lives in one `#[test]` because the Obs registry is
 //! process-global: a second test running characterization concurrently would
 //! perturb the counter deltas this test pins down.
 
 use std::thread;
+use std::time::Instant;
 
 use lvf2_obs::json::{self, Value};
 use lvf2_obs::{Obs, ObsConfig};
@@ -145,6 +147,25 @@ fn daemon_serves_overlapping_clients_from_cache_with_zero_recompute() {
         resp.result.get("library").and_then(Value::as_str),
         Some(cold_lib.as_str()),
         "recomputation is deterministic: same library, bit for bit"
+    );
+
+    // ---- warm round trips cost the service, not a transport stall --------
+    // A frame split across writes on a Nagle socket waits for the peer's
+    // delayed ACK (>= 40 ms on Linux) on every round trip; a warm hit's
+    // service is well under a millisecond. 20 ms is half the stall.
+    let mut rtt_ms: Vec<f64> = (0..40)
+        .map(|_| {
+            let t = Instant::now();
+            let resp = first.call(library_job()).unwrap();
+            assert_eq!(stat(&resp, "cache_misses"), 0);
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    rtt_ms.sort_by(f64::total_cmp);
+    let median = (rtt_ms[19] + rtt_ms[20]) / 2.0;
+    assert!(
+        median < 20.0,
+        "warm round trip median {median:.2} ms: transport stall? {rtt_ms:?}"
     );
 
     // ---- clean shutdown ---------------------------------------------------
