@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use lvf2::cells::Scenario;
 use lvf2::fit::{fit_lvf2_with, FitConfig, FitWorkspace, InitStrategy};
-use lvf2_bench::{arg, obs_init, BenchReport};
+use lvf2_bench::{arg, host_cores, obs_init, BenchReport};
 
 /// Median wall time (ms) of `repeats` runs of `f`, discarding one warmup.
 fn time_ms<R>(repeats: usize, mut f: impl FnMut() -> R) -> (f64, R) {
@@ -54,6 +54,7 @@ fn main() {
     report.param("repeats", repeats as f64);
     report.param("inner_evals", inner_evals as f64);
     report.param("scenario", "two_peaks");
+    report.param("host_cores", host_cores() as f64);
 
     let mut ws = FitWorkspace::new();
     let (t_batched, r_batched) = time_ms(repeats, || fit_lvf2_with(&xs, &cfg, &mut ws).unwrap());

@@ -29,7 +29,7 @@ use lvf2::binning::BinSet;
 use lvf2::mc::{IsConfig, McEngine, RegimeCompetitionArc, SamplingScheme, VariationSpace};
 use lvf2::parallel::Parallelism;
 use lvf2::stats::{sample_mean, sample_std};
-use lvf2_bench::{arg, obs_init, BenchReport};
+use lvf2_bench::{arg, host_cores, obs_init, BenchReport};
 
 const SLEW: f64 = 0.02;
 const LOAD: f64 = 0.05;
@@ -61,6 +61,7 @@ fn main() {
     report.param("target_sigma", target_sigma);
     report.param("repeats", repeats as f64);
     report.param("arc", "balanced_bimodal");
+    report.param("host_cores", host_cores() as f64);
 
     // Phase 1 — golden brute force. Min-of-repeats wall time: the run is
     // seeded-deterministic, so repeats differ only by scheduler noise.

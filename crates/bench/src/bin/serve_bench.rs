@@ -26,7 +26,7 @@
 
 use std::time::Instant;
 
-use lvf2_bench::{arg, obs_init, BenchReport};
+use lvf2_bench::{arg, host_cores, obs_init, BenchReport};
 use lvf2_obs::json::{self, Value};
 use lvf2_serve::{Client, Response, Server, ServerConfig};
 
@@ -43,7 +43,7 @@ fn main() {
     let grid: String = arg("--grid", "3x3".to_string());
     let warm_repeats: usize = arg("--warm-repeats", 3usize).max(1);
     let workers: usize = arg("--workers", 2);
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cores = host_cores();
 
     let job = json::parse(&format!(
         r#"{{"type":"characterize","cells":["INV","NAND2","XOR2"],

@@ -41,7 +41,7 @@ use std::time::Instant;
 
 use lvf2::parallel::Parallelism;
 use lvf2::ssta::{CsrGraph, DelayFamily, NetlistGen, Propagation, SyntheticDelays};
-use lvf2_bench::{arg, flag, obs_init, BenchReport};
+use lvf2_bench::{arg, flag, host_cores, obs_init, BenchReport};
 
 fn main() {
     let _obs = obs_init();
@@ -67,7 +67,7 @@ fn main() {
     let threads: usize = arg("--threads", 8);
     let depth_override: usize = arg("--depth", 0);
     let repeats: usize = arg("--repeats", 2).max(1);
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cores = host_cores();
     // The acceptance gate: ≥ 5× at 8 threads — only checkable where 8
     // hardware threads exist.
     let assert_speedup: f64 = arg(

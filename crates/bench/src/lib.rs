@@ -127,6 +127,13 @@ pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
     default
 }
 
+/// Hardware threads available to this process, recorded as the
+/// `host_cores` param of every `BENCH_*.json` so wall-time keys are only
+/// compared between hosts of the same width.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// `true` when the bare flag `--name` is present.
 pub fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)

@@ -44,6 +44,7 @@
 pub mod batch;
 pub mod config;
 pub mod error;
+mod estep;
 pub mod kmeans;
 pub mod lesn;
 pub mod lvf;

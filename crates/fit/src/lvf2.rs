@@ -3,7 +3,8 @@
 //!
 //! - **Initialization**: k-means into two clusters (ref \[13\]) + method of
 //!   moments per cluster (ref \[14\]); λ from cluster sizes.
-//! - **E-step**: responsibilities `zᵢ` of Eq. (6), computed in log-space.
+//! - **E-step**: responsibilities `zᵢ` of Eq. (6), computed in log space by
+//!   the branch-free log-sum-exp of `estep` (no libm calls per sample).
 //! - **M-step**: Eq. (9) has no closed form for skew-normal components, so
 //!   each component maximizes its responsibility-weighted log-likelihood with
 //!   a bounded Nelder–Mead over `(ξ, ln ω, α)` (an ECM step). The faster
@@ -12,7 +13,10 @@
 //! - **Termination**: mean incomplete-data log-likelihood improvement below
 //!   `tolerance`, or the iteration cap.
 //!
-//! Component densities come from the batched kernels of
+//! Every stage runs on a sorted copy of the samples, so a fit depends only on
+//! the multiset of its samples, and within each density sweep the skew
+//! argument `αz` is monotone, which keeps the `log Φ` regime branches
+//! predictable. Component densities come from the batched kernels of
 //! [`lvf2_stats::kernels`], and every buffer lives in a reusable
 //! [`FitWorkspace`] (zero steady-state allocations). `tests/golden_fits.rs`
 //! pins the exact fits.
@@ -21,6 +25,7 @@ use lvf2_obs::{FitEvent, Obs};
 use lvf2_stats::{Distribution, Lvf2, Moments, SampleMoments, SkewNormal};
 
 use crate::config::{FitConfig, InitStrategy, MStep};
+use crate::estep::lse2;
 use crate::kmeans::kmeans1d_with;
 use crate::nelder_mead::{nelder_mead_with, NelderMeadOptions};
 use crate::report::{FitReport, Fitted};
@@ -34,9 +39,11 @@ const ALPHA_BOUND: f64 = 60.0;
 
 /// Fits the LVF² model (Eq. 4) to samples with the EM algorithm of §3.2.
 ///
-/// The fit is deterministic for a given `(samples, config)` pair. The
-/// returned λ is always in `[min_weight, 1 − min_weight]`; exact-LVF models
-/// (λ = 0) are produced by [`lvf2_stats::Lvf2::from_lvf`], not by this fitter.
+/// The fit is deterministic for a given `(samples, config)` pair and does not
+/// depend on the order of `samples`: any permutation gives a bit-identical
+/// fit. The returned λ is always in `[min_weight, 1 − min_weight]`;
+/// exact-LVF models (λ = 0) are produced by [`lvf2_stats::Lvf2::from_lvf`],
+/// not by this fitter.
 ///
 /// # Errors
 ///
@@ -86,13 +93,16 @@ pub fn fit_lvf2_with(
 ) -> Result<Fitted<Lvf2>, FitError> {
     let obs = Obs::current();
     let _span = obs.span("fit.em");
-    let result = fit_lvf2_impl(samples, config, &obs, ws);
+    let result = ws.with_sorted(samples, |sorted, ws| {
+        fit_lvf2_impl(sorted, config, &obs, ws)
+    });
     if let Err(e) = &result {
         obs.fit_error("lvf2.em", e);
     }
     result
 }
 
+/// The fit proper, on `samples` sorted ascending.
 fn fit_lvf2_impl(
     samples: &[f64],
     config: &FitConfig,
@@ -254,34 +264,29 @@ fn run_em(
         comp1.ln_pdf_batch(samples, logs1);
         comp2.ln_pdf_batch(samples, logs2);
 
-        // Fused E-step (Eq. 6): responsibilities and the total incomplete-data
-        // log-likelihood in a single pass, accumulated in sample order.
+        // E-step (Eq. 6): the chunked log-sum-exp writes z₁ to `resp1` and
+        // each sample's log-normalizer to `resp2`. One pass in sample order
+        // then accumulates the incomplete-data log-likelihood and Σz₁, and
+        // overwrites `resp2` with the complement weights 1 − z₁.
+        lse2((1.0 - lambda).ln(), lambda.ln(), logs1, logs2, resp1, resp2);
         ll = 0.0;
-        let l1 = (1.0 - lambda).ln();
-        let l2 = lambda.ln();
-        for ((r, &d1), &d2) in resp1.iter_mut().zip(logs1.iter()).zip(logs2.iter()) {
-            let a = l1 + d1;
-            let b = l2 + d2;
-            let m = a.max(b);
-            if m.is_finite() {
-                let log_tot = m + ((a - m).exp() + (b - m).exp()).ln();
-                *r = (a - log_tot).exp();
+        let mut w1 = 0.0;
+        for (z1, z2) in resp1.iter_mut().zip(resp2.iter_mut()) {
+            let log_tot = *z2;
+            if log_tot.is_finite() {
                 ll += log_tot;
             } else {
-                *r = 0.5;
+                *z1 = 0.5;
                 ll += -745.0; // both densities underflowed; cap the penalty
             }
+            w1 += *z1;
+            *z2 = 1.0 - *z1;
         }
 
         // λ update: λ = Σ(1 − zᵢ)/n.
-        let w1: f64 = resp1.iter().sum();
         lambda = ((n as f64 - w1) / n as f64).clamp(config.min_weight, 1.0 - config.min_weight);
 
-        // M-step per component; the complement buffer is reused, not
-        // reallocated.
-        for (r2, &r1) in resp2.iter_mut().zip(resp1.iter()) {
-            *r2 = 1.0 - r1;
-        }
+        // M-step per component.
         comp1 = m_step_component(samples, resp1, comp1, sigma_floor, config, it > 0, mstep);
         comp2 = m_step_component(samples, resp2, comp2, sigma_floor, config, it > 0, mstep);
 
@@ -292,13 +297,16 @@ fn run_em(
             converged = true;
             break;
         }
-        // Restart pruning: EM improves monotonically with (in practice)
-        // shrinking steps, so once even `remaining × last_gain` cannot close
-        // the gap to a restart that already finished better, further
-        // iterations are wasted — the selection below keeps strictly the
-        // highest log-likelihood either way. On the first iteration
-        // `last_gain` is +∞ (prev_ll = −∞), which correctly disables the
-        // check.
+        // Restart pruning: a later restart is abandoned once even
+        // `remaining × last_gain` cannot close the gap to a restart that
+        // already finished better. Under the weighted-MLE M-step each
+        // iteration is an ECM step: the log-likelihood never drops and (in
+        // practice) its gains shrink, so the pruned restart would not have
+        // been selected. `MStep::WeightedMoments` is not an EM step — its
+        // log-likelihood can fall and later rise — so there the rule is a
+        // heuristic that may drop a restart which would have finished
+        // higher. On the first iteration `last_gain` is +∞ (prev_ll = −∞),
+        // which disables the check.
         let remaining = (config.max_iterations - iterations) as f64;
         let last_gain = (ll - prev_ll).max(0.0);
         if ll + remaining * last_gain < abandon_below {
@@ -379,7 +387,8 @@ fn warm_initial_step(warm: bool) -> f64 {
 /// K-component generalization in `mixture_em`).
 ///
 /// The weighted-MLE step compacts the support (`w > 1e-12`) once — the
-/// weights are fixed during the inner optimization — and evaluates the
+/// weights are fixed during the inner optimization, and the compacted
+/// samples keep the (sorted) order of `xs` — and evaluates the
 /// weighted negative log-likelihood with one
 /// [`Distribution::ln_pdf_batch`] sweep per objective call, inside the
 /// caller's scratch.

@@ -3,13 +3,17 @@
 //! components").
 //!
 //! This is the general-K version of [`fit_lvf2`](crate::fit_lvf2): k-means
-//! initialization into K clusters, K-way log-space responsibilities, and the
-//! same per-component M-step (weighted MLE or weighted moments).
+//! initialization into K clusters, K-way log-space responsibilities (the same
+//! libm-free log-sum-exp as the two-component E-step), and the same
+//! per-component M-step (weighted MLE or weighted moments). Like `fit_lvf2`,
+//! it runs on a sorted copy of the samples, so the fit does not depend on
+//! their order.
 
 use lvf2_obs::{FitEvent, Obs};
 use lvf2_stats::{Distribution, Mixture, Moments, SampleMoments, SkewNormal};
 
 use crate::config::FitConfig;
+use crate::estep::lse_row;
 use crate::kmeans::kmeans1d_with;
 use crate::lvf2::{gather_cluster, m_step_component};
 use crate::report::{FitReport, Fitted};
@@ -71,13 +75,16 @@ pub fn fit_sn_mixture_with(
 ) -> Result<Fitted<Mixture<SkewNormal>>, FitError> {
     let obs = Obs::current();
     let _span = obs.span("fit.em");
-    let result = fit_sn_mixture_impl(samples, k, config, &obs, ws);
+    let result = ws.with_sorted(samples, |sorted, ws| {
+        fit_sn_mixture_impl(sorted, k, config, &obs, ws)
+    });
     if let Err(e) = &result {
         obs.fit_error("sn_mixture.em", e);
     }
     result
 }
 
+/// The fit proper, on `samples` sorted ascending.
 fn fit_sn_mixture_impl(
     samples: &[f64],
     k: usize,
@@ -226,17 +233,11 @@ fn em_loop(
         }
         for i in 0..n {
             let row = &mut resp_flat[i * k..(i + 1) * k];
-            let mut maxv = f64::NEG_INFINITY;
             for (j, slot) in row.iter_mut().enumerate() {
-                let l = logw[j] + dens[j * n + i];
-                *slot = l;
-                maxv = maxv.max(l);
+                *slot = logw[j] + dens[j * n + i];
             }
-            if maxv.is_finite() {
-                let log_tot = maxv + row.iter().map(|l| (l - maxv).exp()).sum::<f64>().ln();
-                for l in row.iter_mut() {
-                    *l = (*l - log_tot).exp();
-                }
+            let log_tot = lse_row(row);
+            if log_tot.is_finite() {
                 ll += log_tot;
             } else {
                 for r in row.iter_mut() {

@@ -1,8 +1,9 @@
 //! Reusable scratch memory for the EM hot path.
 //!
-//! A [`FitWorkspace`] owns every buffer the EM needs: the responsibility
-//! vectors, per-component log-density slices, the Nelder–Mead simplex, the
-//! k-means assignment arrays and the M-step compaction buffers. Allocate one
+//! A [`FitWorkspace`] owns every buffer the EM needs: the sorted copy of the
+//! samples that every stage of a fit runs on, the responsibility vectors,
+//! per-component log-density slices, the Nelder–Mead simplex, the k-means
+//! assignment arrays and the M-step compaction buffers. Allocate one
 //! per arc (or one per worker thread — see [`crate::fit_lvf2_batch`]) and
 //! every steady-state EM iteration runs without touching the heap:
 //! `tests/no_alloc.rs` pins that with a counting global allocator.
@@ -45,6 +46,9 @@
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct FitWorkspace {
+    /// Sorted copy of the caller's samples (length n); see
+    /// [`FitWorkspace::with_sorted`].
+    pub(crate) sorted: Vec<f64>,
     /// Responsibilities of component 1 (length n).
     pub(crate) resp1: Vec<f64>,
     /// Responsibilities of component 2 (length n).
@@ -77,6 +81,28 @@ impl FitWorkspace {
     /// and reused afterwards.
     pub fn new() -> Self {
         FitWorkspace::default()
+    }
+
+    /// Runs `fit` on a copy of `samples` sorted ascending, held in this
+    /// workspace. Every stage of a fit (k-means, initialization, EM, M-step)
+    /// then sees the same sequence for any permutation of the input, so the
+    /// fit depends only on the multiset of samples. `f64::total_cmp` makes
+    /// the order total — NaN cannot panic here and is reported by the
+    /// fitter's moment check — and places `−0.0` before `+0.0`.
+    pub(crate) fn with_sorted<R>(
+        &mut self,
+        samples: &[f64],
+        fit: impl FnOnce(&[f64], &mut FitWorkspace) -> R,
+    ) -> R {
+        // Taking the buffer moves it without allocating; it goes back after
+        // the fit so its capacity is reused.
+        let mut sorted = std::mem::take(&mut self.sorted);
+        sorted.clear();
+        sorted.extend_from_slice(samples);
+        sorted.sort_unstable_by(f64::total_cmp);
+        let out = fit(&sorted, self);
+        self.sorted = sorted;
+        out
     }
 }
 
@@ -178,7 +204,7 @@ impl NmScratch {
 #[derive(Debug, Default, Clone)]
 pub(crate) struct MStepScratch {
     /// Samples whose responsibility exceeds the 1e-12 support cut,
-    /// in input order.
+    /// in the (sorted) order the fit runs on.
     pub(crate) active_xs: Vec<f64>,
     /// The matching responsibilities, in the same order.
     pub(crate) active_ws: Vec<f64>,

@@ -5,9 +5,12 @@
 //! count and the convergence flag. Floats are compared by `to_bits` — the
 //! literals are `{:?}` renderings, which round-trip exactly — so any change
 //! to the EM's arithmetic or accumulation order (k-means init, E-step, either
-//! M-step, restart pruning) fails here. The values were recorded while a
-//! second, per-sample implementation of the same EM still existed and
-//! agreed with these bit for bit.
+//! M-step, restart pruning) fails here. The values were first recorded
+//! while a second, per-sample implementation of the same EM still existed
+//! and agreed with them bit for bit. They were re-recorded once, when the
+//! E-step moved to the libm-free log-sum-exp and fits to sorted samples: no
+//! case changed its iteration count or convergence flag, and no parameter
+//! moved by more than 5e-12 relative (CHANGELOG.md lists each case).
 //!
 //! Closeness to the generating truth is a separate question, answered by
 //! the recovery tests in `src/lvf2.rs` and `src/mixture_em.rs`.
@@ -184,20 +187,20 @@ const TABLE1_ARC_GOLDEN: &[(&str, Golden)] = &[
     (
         "table1_arc/default",
         Golden {
-            weights: &[0.444743632906366],
+            weights: &[0.44474363290636415],
             components: &[
                 [
-                    0.08992976451665703,
-                    0.013894708001509649,
-                    1.8144611375397393,
+                    0.08992976451665664,
+                    0.013894708001509685,
+                    1.8144611375398456,
                 ],
                 [
-                    0.16632825342138208,
-                    0.012953473436589072,
-                    -0.7359778512988847,
+                    0.16632825342138507,
+                    0.012953473436589268,
+                    -0.7359778512991192,
                 ],
             ],
-            log_likelihood: 4926.420795385631,
+            log_likelihood: 4926.420795385637,
             iterations: 5,
             converged: true,
         },
@@ -205,20 +208,16 @@ const TABLE1_ARC_GOLDEN: &[(&str, Golden)] = &[
     (
         "table1_arc/fast",
         Golden {
-            weights: &[0.4448145362689411],
+            weights: &[0.44481453626894213],
             components: &[
+                [0.08996615876393887, 0.01386296136300314, 1.8002415515483183],
                 [
-                    0.08996615876393917,
-                    0.013862961363003091,
-                    1.8002415515482508,
-                ],
-                [
-                    0.16644601100339768,
-                    0.013017355138364908,
-                    -0.7532990831194315,
+                    0.16644601100339584,
+                    0.013017355138364205,
+                    -0.7532990831192066,
                 ],
             ],
-            log_likelihood: 4926.4190738036905,
+            log_likelihood: 4926.419073803714,
             iterations: 6,
             converged: true,
         },
@@ -229,16 +228,12 @@ const GENERATED_GOLDEN: &[(&str, Golden)] = &[
     (
         "generated_a/default",
         Golden {
-            weights: &[0.2619142938325978],
+            weights: &[0.26191429383259823],
             components: &[
-                [-0.2878264650216396, 0.12018175299436307, 2.340860272380279],
-                [
-                    0.49422735767614384,
-                    0.14703320008339402,
-                    -2.5607191935092684,
-                ],
+                [-0.2878264650216396, 0.12018175299436307, 2.3408602723802816],
+                [0.4942273576761442, 0.14703320008339382, -2.5607191935092604],
             ],
-            log_likelihood: 151.23400601510923,
+            log_likelihood: 151.23400601510917,
             iterations: 5,
             converged: true,
         },
@@ -246,12 +241,16 @@ const GENERATED_GOLDEN: &[(&str, Golden)] = &[
     (
         "generated_a/fast",
         Golden {
-            weights: &[0.2622964843570385],
+            weights: &[0.2622964843570374],
             components: &[
-                [-0.2823633963284127, 0.11590977457414468, 2.009928888795603],
-                [0.4948572386808418, 0.14816547876058048, -2.6069569507199755],
+                [
+                    -0.28236339632841145,
+                    0.11590977457414403,
+                    2.0099288887955553,
+                ],
+                [0.4948572386808406, 0.1481654787605797, -2.6069569507199106],
             ],
-            log_likelihood: 151.09006110690964,
+            log_likelihood: 151.09006110690973,
             iterations: 12,
             converged: true,
         },
@@ -259,12 +258,12 @@ const GENERATED_GOLDEN: &[(&str, Golden)] = &[
     (
         "generated_b/default",
         Golden {
-            weights: &[0.4944567139620786],
+            weights: &[0.49445671396290475],
             components: &[
-                [0.3379557849619373, 0.31286047394029726, 2.1835534338913143],
-                [0.7847893706297812, 0.2006108019069905, 0.008439798652113901],
+                [0.33795578496165435, 0.312860473940286, 2.183553433891383],
+                [0.7847893706297798, 0.200610801907158, 0.008439798652073853],
             ],
-            log_likelihood: 10.403231481954965,
+            log_likelihood: 10.40323148195592,
             iterations: 60,
             converged: false,
         },
@@ -272,12 +271,12 @@ const GENERATED_GOLDEN: &[(&str, Golden)] = &[
     (
         "generated_b/fast",
         Golden {
-            weights: &[0.4956989334610436],
+            weights: &[0.49569893346104577],
             components: &[
-                [0.40556519769584554, 0.20941104255660317, 0.9706309689580708],
-                [0.7338667219496003, 0.20613540356135487, 0.7160510080935267],
+                [0.4055651976958484, 0.20941104255660184, 0.9706309689580417],
+                [0.7338667219496025, 0.20613540356135385, 0.7160510080935073],
             ],
-            log_likelihood: 10.310449203874335,
+            log_likelihood: 10.310449203874342,
             iterations: 40,
             converged: false,
         },
@@ -288,12 +287,12 @@ const MIXTURE_GOLDEN: &[(&str, Golden)] = &[
     (
         "k2/fast",
         Golden {
-            weights: &[0.6712038221833665, 0.32879617781663356],
+            weights: &[0.6712038221833666, 0.3287961778166334],
             components: &[
-                [-0.2765170483371444, 0.11010535111832287, 2.0534490020262797],
-                [0.5372681271849076, 0.17696445629596613, -3.732883668718462],
+                [-0.2765170483371435, 0.11010535111832245, 2.05344900202624],
+                [0.537268127184908, 0.17696445629596627, -3.7328836687184945],
             ],
-            log_likelihood: 171.52177097034766,
+            log_likelihood: 171.5217709703476,
             iterations: 26,
             converged: true,
         },
@@ -301,21 +300,21 @@ const MIXTURE_GOLDEN: &[(&str, Golden)] = &[
     (
         "k3/fast",
         Golden {
-            weights: &[0.4266424183593915, 0.2429165510179494, 0.3304410306226591],
+            weights: &[0.426642418359385, 0.24291655101795556, 0.3304410306226595],
             components: &[
                 [
-                    -0.2540859963693863,
-                    0.05025907154691728,
-                    0.33360871898109684,
+                    -0.2540859963694036,
+                    0.05025907154692133,
+                    0.33360871898154776,
                 ],
                 [
-                    -0.18976907131917375,
-                    0.08472443804742986,
+                    -0.18976907131917625,
+                    0.08472443804743067,
                     2026.9153189384158,
                 ],
-                [0.5420187401650438, 0.18357688855949336, -4.436721626681767],
+                [0.5420187401650436, 0.18357688855949328, -4.436721626681725],
             ],
-            log_likelihood: 173.33985836556133,
+            log_likelihood: 173.3398583655643,
             iterations: 40,
             converged: false,
         },

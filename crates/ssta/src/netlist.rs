@@ -1104,7 +1104,10 @@ mod tests {
         // component in COUT's fan-in (α ≈ 2027, a near-vertical pdf edge)
         // cost the old grid ~1e-6 σ per pair, which the new kernel removes
         // by bisecting the edge's panel
-        // (`ops::tests::skewness_limit_edge_is_bisected`).
+        // (`ops::tests::skewness_limit_edge_is_bisected`). `PINNED` was
+        // re-recorded once more when the EM E-step moved to the libm-free
+        // log-sum-exp on sorted samples: LVF² moved by at most 143 ulp
+        // (SUM's P_viol, ~2e-14 relative), LVF not at all.
         const BEFORE: Pins = [
             (
                 "SUM",
@@ -1123,13 +1126,13 @@ mod tests {
             (
                 "SUM",
                 [0x3fb2a7d8be9dc57e, 0x3f89593a823ed5ec, 0x3f38259204382cf0],
-                [0x3fb2adb3ce873e7e, 0x3f894d1d10c986af, 0x3f1916e0aaaedcbf],
+                [0x3fb2adb3ce873e80, 0x3f894d1d10c986ad, 0x3f1916e0aaaedd4e],
                 0x0000000000000000,
             ),
             (
                 "COUT",
                 [0x3fbac2533a3c3554, 0x3f8bb99b3ef8f4a1, 0x3fc06865c99e9a8c],
-                [0x3fbac7e78a07d9e8, 0x3f8baa593e9e938d, 0x3fc0791a81dc168d],
+                [0x3fbac7e78a07d9e9, 0x3f8baa593e9e9370, 0x3fc0791a81dc1670],
                 0x3fc0a3d70a3d70a4,
             ),
         ];

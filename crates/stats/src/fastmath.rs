@@ -17,10 +17,12 @@
 //!   The `_core` variant assumes a positive, finite, *normal* argument and
 //!   contains **no branches at all**, so an 8-lane loop over it
 //!   auto-vectorizes; `fast_ln` is the total function (one cold guard).
-//! - [`fast_exp`]: Cephes `exp` — reduction `x = k·ln2 + r` with a two-part
-//!   `ln 2`, a degree-(2,3) rational for `exp(r)`, and a bit-twiddled `2^k`
-//!   scale. Relative error ≈ 2 ulp; results below `exp(−708)` flush to zero
-//!   (no gradual underflow — callers here never get within 600 of that).
+//! - [`fast_exp`] / [`fast_exp_core`]: Cephes `exp` — reduction
+//!   `x = k·ln2 + r` with a two-part `ln 2`, a degree-(2,3) rational for
+//!   `exp(r)`, and a bit-twiddled `2^k` scale. Relative error ≈ 2 ulp;
+//!   results below `exp(−708)` flush to zero (no gradual underflow). The
+//!   `_core` variant assumes `|x| ≤ 708` and is branch-free; `fast_exp` adds
+//!   the range guard.
 //!
 //! # Determinism
 //!
@@ -32,9 +34,11 @@
 //!
 //! They are *not* drop-in replacements for `f64::ln`/`f64::exp`: values
 //! differ from libm in the last ulp or two. They are used only where the
-//! caller owns the full numeric contract (the fused `log Φ` path in
-//! [`special`](crate::special)); `erf`/`erfc`/`norm_cdf`/`owen_t` keep libm
-//! so their 1e-14-level golden tests are untouched.
+//! caller owns the full numeric contract: the fused `log Φ` path in
+//! [`special`](crate::special), and the EM E-step's log-sum-exp in
+//! `lvf2-fit` (`exp(−d)` of the gap between two component log-joints, `ln`
+//! of their normalizer). `erf`/`erfc`/`norm_cdf`/`owen_t` keep libm so their
+//! 1e-14-level golden tests are untouched.
 
 // The coefficient digits below are the exact published fdlibm/Cephes
 // values; clippy's excessive-precision lint would silently round them.
@@ -150,13 +154,48 @@ const EXP_C1: f64 = 6.93145751953125e-1;
 const EXP_C2: f64 = 1.42860682030941723212e-6;
 const LOG2_E: f64 = std::f64::consts::LOG2_E;
 
-/// Exponential function, total over all f64 inputs.
+/// Exponential of `x` with `|x| ≤ 708`; branch-free.
 ///
 /// Cephes-style: `x = k·ln2 + r`, rational `exp(r)`, exact `2^k` scaling via
-/// exponent bits. Accuracy ≈ 2 ulp for `|x| ≤ 708`. Overflows to `+∞` above
-/// ~709.78; flushes to `0` below −708 (no subnormal tail). `k` is chosen by
-/// round-to-nearest-even (magic-number rounding), which keeps the reduction
-/// branch-free and deterministic.
+/// exponent bits. `k` is chosen by round-to-nearest-even (magic-number
+/// rounding), and the scale is built from the same rounded value's bits, so
+/// the body is straight-line float and integer arithmetic that an
+/// [`LANES`](crate::special::LANES)-wide loop can vectorize. Outside
+/// `|x| ≤ 708` the result is unspecified (finite garbage, never UB); the
+/// E-step's log-sum-exp calls it on `[−708, 0]` and flushes larger gaps to
+/// zero itself.
+///
+/// For in-domain inputs, `fast_exp_core(x)` is bit-identical to
+/// [`fast_exp`]`(x)` (the latter simply adds the range guard).
+#[inline(always)]
+pub fn fast_exp_core(x: f64) -> f64 {
+    debug_assert!(
+        x.abs() <= 708.0,
+        "fast_exp_core domain: |x| <= 708, got {x}"
+    );
+    // Round k = x/ln2 to the nearest integer without a libm call: adding
+    // 1.5·2⁵² forces round-to-nearest-even at integer precision and leaves k
+    // in the low mantissa bits of `t`.
+    const MAGIC: f64 = 6_755_399_441_055_744.0; // 1.5 * 2^52
+    let t = LOG2_E * x + MAGIC;
+    let kf = t - MAGIC;
+    let r = (x - kf * EXP_C1) - kf * EXP_C2;
+    let xx = r * r;
+    let px = r * ((EXP_P[0] * xx + EXP_P[1]) * xx + EXP_P[2]);
+    let q = ((EXP_Q[0] * xx + EXP_Q[1]) * xx + EXP_Q[2]) * xx + EXP_Q[3];
+    let e = 1.0 + 2.0 * px / (q - px);
+    // 2^k via exponent bits: the low 12 bits of `t`'s payload plus the bias
+    // are `k + 1023` (|x| ≤ 708 keeps it in [2, 2045]); the shift drops the
+    // rest. No float-to-integer conversion, so the lane loop stays packed.
+    let scale = f64::from_bits(t.to_bits().wrapping_add(1023) << 52);
+    e * scale
+}
+
+/// Exponential function, total over all f64 inputs.
+///
+/// [`fast_exp_core`] behind one range guard. Accuracy ≈ 2 ulp for
+/// `|x| ≤ 708`. Overflows to `+∞` above 708; flushes to `0` below −708 (no
+/// subnormal tail).
 ///
 /// # Example
 ///
@@ -172,18 +211,7 @@ pub fn fast_exp(x: f64) -> f64 {
     if !(x.abs() <= 708.0) {
         return fast_exp_cold(x);
     }
-    // Round k = x/ln2 to the nearest integer without a libm call: adding and
-    // subtracting 1.5·2⁵² forces round-to-nearest-even at integer precision.
-    const MAGIC: f64 = 6_755_399_441_055_744.0; // 1.5 * 2^52
-    let kf = (LOG2_E * x + MAGIC) - MAGIC;
-    let r = (x - kf * EXP_C1) - kf * EXP_C2;
-    let xx = r * r;
-    let px = r * ((EXP_P[0] * xx + EXP_P[1]) * xx + EXP_P[2]);
-    let q = ((EXP_Q[0] * xx + EXP_Q[1]) * xx + EXP_Q[2]) * xx + EXP_Q[3];
-    let e = 1.0 + 2.0 * px / (q - px);
-    // 2^k via exponent bits; |x| ≤ 708 keeps k within the normal range.
-    let scale = f64::from_bits(((1023 + kf as i64) as u64) << 52);
-    e * scale
+    fast_exp_core(x)
 }
 
 #[cold]
@@ -261,6 +289,33 @@ mod tests {
             let x = -700.0 + 1400.0 * (i as f64) / 39_999.0;
             let d = ulp_diff(fast_exp(x), x.exp());
             assert!(d <= 2, "x={x}: fast {} vs libm {}", fast_exp(x), x.exp());
+        }
+    }
+
+    #[test]
+    fn fast_exp_core_agrees_with_total_function_on_domain() {
+        for i in 0..20_000 {
+            let x = -708.0 * (i as f64) / 19_999.0;
+            assert_eq!(fast_exp_core(x).to_bits(), fast_exp(x).to_bits(), "x={x}");
+        }
+        for x in [-708.0, -0.0, 0.0, -1e-300, 708.0] {
+            assert_eq!(fast_exp_core(x).to_bits(), fast_exp(x).to_bits(), "x={x}");
+        }
+        assert_eq!(fast_exp_core(0.0), 1.0);
+    }
+
+    #[test]
+    fn fast_exp_core_matches_libm_within_2_ulp() {
+        // The E-step's gap domain: exp(−d) for d ∈ [0, 708].
+        for i in 0..40_000 {
+            let x = -708.0 * (i as f64) / 39_999.0;
+            let d = ulp_diff(fast_exp_core(x), x.exp());
+            assert!(
+                d <= 2,
+                "x={x}: core {} vs libm {}",
+                fast_exp_core(x),
+                x.exp()
+            );
         }
     }
 
