@@ -4,7 +4,10 @@
 //!
 //! - `ln_pdf`: scalar-loop vs batched skew-normal log-density over a
 //!   characterization-sized slice — the innermost kernel of the E-step and
-//!   the weighted-MLE M-step.
+//!   the weighted-MLE M-step. `sorted_2000` is the input the EM actually
+//!   sweeps (the fitter sorts its samples first), where nearly every
+//!   8-lane chunk sits in one `log Φ` regime; `batched` is the same slice
+//!   in draw order.
 //! - `em_fit_arc`: a full LVF² fit of the default table1 arc workload
 //!   (`Scenario::TwoPeaks`, 2000 samples, default `FitConfig`) with a reused
 //!   `FitWorkspace`; `bin/fit_bench.rs` records the same workload's wall
@@ -32,6 +35,14 @@ fn bench_ln_pdf(c: &mut Criterion) {
     group.bench_function("batched", |b| {
         b.iter(|| {
             sn.ln_pdf_batch(&xs, &mut out);
+            out[0]
+        })
+    });
+    let mut sorted = xs.clone();
+    sorted.sort_by(f64::total_cmp);
+    group.bench_function("sorted_2000", |b| {
+        b.iter(|| {
+            sn.ln_pdf_batch(&sorted, &mut out);
             out[0]
         })
     });

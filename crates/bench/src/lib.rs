@@ -57,12 +57,13 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// Starts the wall clock for a named bench run.
+    /// Starts the wall clock for a named bench run. Every report records
+    /// the host's [`kernel_isa`] as its first param.
     pub fn start(name: &'static str) -> Self {
         BenchReport {
             name,
             start: Instant::now(),
-            params: Vec::new(),
+            params: vec![("kernel_isa".to_string(), Value::from(kernel_isa()))],
             quality: Vec::new(),
         }
     }
@@ -132,6 +133,18 @@ pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
 /// compared between hosts of the same width.
 pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Which build of the batched EM kernels this host runs: `"avx2"` or
+/// `"portable"` (see `lvf2_stats::kernels::avx2_enabled`). Both give the
+/// same bits; only wall-time keys depend on it, so it is recorded in the
+/// params of every `BENCH_*.json` next to `host_cores`.
+pub fn kernel_isa() -> &'static str {
+    if lvf2::stats::kernels::avx2_enabled() {
+        "avx2"
+    } else {
+        "portable"
+    }
 }
 
 /// `true` when the bare flag `--name` is present.

@@ -59,7 +59,51 @@ fn lse2_lane(a: f64, b: f64) -> (f64, f64) {
 /// Two-component E-step over whole slices. For sample `i`, with
 /// `a = l1 + logs1[i]` and `b = l2 + logs2[i]`, writes component 1's
 /// responsibility to `z1[i]` and `ln(eᵃ + eᵇ)` to `log_tot[i]`.
+///
+/// Runs the AVX2 build of the chunk body when the host has AVX2
+/// ([`lvf2_stats::kernels::avx2_enabled`]), else [`lse2_portable`]; both
+/// compile the same source with no FMA and no reassociation, so they
+/// return the same bits.
 pub(crate) fn lse2(
+    l1: f64,
+    l2: f64,
+    logs1: &[f64],
+    logs2: &[f64],
+    z1: &mut [f64],
+    log_tot: &mut [f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if lvf2_stats::kernels::avx2_enabled() {
+        // SAFETY: the host supports AVX2 (checked just above), the only
+        // target feature `lse2_avx2` enables.
+        return unsafe { lse2_avx2(l1, l2, logs1, logs2, z1, log_tot) };
+    }
+    lse2_portable(l1, l2, logs1, logs2, z1, log_tot);
+}
+
+/// The portable build of [`lse2`], which the dispatcher runs on hosts
+/// without AVX2.
+pub(crate) fn lse2_portable(
+    l1: f64,
+    l2: f64,
+    logs1: &[f64],
+    logs2: &[f64],
+    z1: &mut [f64],
+    log_tot: &mut [f64],
+) {
+    lse2_chunks(l1, l2, logs1, logs2, z1, log_tot);
+}
+
+/// The AVX2 build of [`lse2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn lse2_avx2(l1: f64, l2: f64, logs1: &[f64], logs2: &[f64], z1: &mut [f64], log_tot: &mut [f64]) {
+    lse2_chunks(l1, l2, logs1, logs2, z1, log_tot);
+}
+
+/// Chunk body of [`lse2`]: [`lse2_lane`] mapped over [`LANES`]-wide chunks.
+#[inline(always)]
+fn lse2_chunks(
     l1: f64,
     l2: f64,
     logs1: &[f64],
@@ -205,6 +249,68 @@ mod tests {
                 let (wt, wz) = lse2_lane(-0.3 + logs1[i], -1.2 + logs2[i]);
                 assert_eq!(t[i].to_bits(), wt.to_bits(), "n={n} i={i}");
                 assert_eq!(z[i].to_bits(), wz.to_bits(), "n={n} i={i}");
+            }
+        }
+    }
+
+    /// Pairs for the build-equivalence test: the shared set plus gaps a few
+    /// ulps either side of the 708 flush edge, and NaN/±∞ log-joints.
+    fn edge_pairs() -> Vec<(f64, f64)> {
+        let mut v = pairs();
+        let (mut up, mut down) = (GAP_FLUSH, GAP_FLUSH);
+        for _ in 0..4 {
+            up = up.next_up();
+            down = down.next_down();
+            for g in [up, down, GAP_FLUSH] {
+                v.extend([(0.0, -g), (-g, 0.0), (3.5, 3.5 - g)]);
+            }
+        }
+        for sp in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            v.extend([(sp, 0.0), (0.0, sp), (sp, sp)]);
+        }
+        v
+    }
+
+    /// Bitwise equality, with every NaN equal to every other (Rust leaves
+    /// the sign and payload of an arithmetic NaN unspecified).
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    #[test]
+    fn portable_and_dispatched_builds_match_the_lane_function_at_every_length() {
+        let ps = edge_pairs();
+        // Zero log-weights keep the flush-edge gaps exact.
+        for (l1, l2) in [(0.0, 0.0), (-0.3, -1.2)] {
+            for n in (0..=17).chain([ps.len()]) {
+                // Windows at several offsets move the flush-edge and special
+                // pairs across chunk positions.
+                for start in [0, 3, ps.len() - n] {
+                    let start = start.min(ps.len() - n);
+                    let w = &ps[start..start + n];
+                    let logs1: Vec<f64> = w.iter().map(|p| p.0).collect();
+                    let logs2: Vec<f64> = w.iter().map(|p| p.1).collect();
+                    let (mut z, mut t) = (vec![0.0; n], vec![0.0; n]);
+                    let (mut zp, mut tp) = (vec![0.0; n], vec![0.0; n]);
+                    lse2(l1, l2, &logs1, &logs2, &mut z, &mut t);
+                    lse2_portable(l1, l2, &logs1, &logs2, &mut zp, &mut tp);
+                    for i in 0..n {
+                        let (wt, wz) = lse2_lane(l1 + logs1[i], l2 + logs2[i]);
+                        for (got, want, what) in [
+                            (t[i], wt, "dispatched log_tot"),
+                            (z[i], wz, "dispatched z"),
+                            (tp[i], wt, "portable log_tot"),
+                            (zp[i], wz, "portable z"),
+                        ] {
+                            assert!(
+                                same_bits(got, want),
+                                "{what}: n={n} start={start} i={i} ({}, {}): {got} vs {want}",
+                                logs1[i],
+                                logs2[i]
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -1,6 +1,9 @@
 // `!(x > 0.0)`-style guards are deliberate: they reject NaN along with
 // non-positive values, which `x <= 0.0` would not.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
+// Every `unsafe` block (the runtime-dispatched AVX2 kernel calls) states
+// why it is sound.
+#![deny(clippy::undocumented_unsafe_blocks)]
 //! Fitting algorithms for the LVF² statistical timing models.
 //!
 //! This crate turns Monte-Carlo timing samples into fitted models:

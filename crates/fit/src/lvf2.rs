@@ -15,8 +15,8 @@
 //!
 //! Every stage runs on a sorted copy of the samples, so a fit depends only on
 //! the multiset of its samples, and within each density sweep the skew
-//! argument `αz` is monotone, which keeps the `log Φ` regime branches
-//! predictable. Component densities come from the batched kernels of
+//! argument `αz` is monotone, so nearly every 8-lane chunk of the kernel
+//! sits in a single `log Φ` regime and takes its vectorized path. Component densities come from the batched kernels of
 //! [`lvf2_stats::kernels`], and every buffer lives in a reusable
 //! [`FitWorkspace`] (zero steady-state allocations). `tests/golden_fits.rs`
 //! pins the exact fits.
@@ -177,6 +177,8 @@ fn fit_lvf2_impl(
     let restarts = n_inits;
     let collect_trajectory = obs.debug_data_enabled();
     let mut best: Option<(Lvf2, FitReport, Vec<f64>)> = None;
+    let mut iterations_all = 0;
+    let mut restarts_abandoned = 0;
     for slot in inits.iter().take(n_inits) {
         let (c1, c2, l0) = slot.expect("init slot filled");
         // A later restart is abandoned once it provably trails the best
@@ -185,7 +187,7 @@ fn fit_lvf2_impl(
             .as_ref()
             .map(|(_, b, _)| b.log_likelihood)
             .unwrap_or(f64::NEG_INFINITY);
-        let (model, report, traj) = run_em(
+        let (model, report, traj, abandoned) = run_em(
             samples,
             c1,
             c2,
@@ -196,6 +198,8 @@ fn fit_lvf2_impl(
             bar,
             ws,
         )?;
+        iterations_all += report.iterations;
+        restarts_abandoned += usize::from(abandoned);
         let better = match &best {
             None => true,
             Some((_, b, _)) => report.log_likelihood > b.log_likelihood,
@@ -208,8 +212,10 @@ fn fit_lvf2_impl(
     obs.fit_event(&FitEvent {
         fitter: "lvf2.em",
         iterations: report.iterations,
+        iterations_all,
         converged: report.converged,
         restarts,
+        restarts_abandoned,
         log_likelihood: report.log_likelihood,
         trajectory: &trajectory,
         degenerate_components,
@@ -221,7 +227,8 @@ fn fit_lvf2_impl(
 /// [`Distribution::ln_pdf_batch`] sweep per component and every buffer lives
 /// in the [`FitWorkspace`] — steady-state iterations allocate nothing.
 /// `collect_trajectory` additionally returns the per-iteration
-/// log-likelihood (for debug telemetry).
+/// log-likelihood (for debug telemetry). The last element of the result is
+/// `true` when the run was abandoned as trailing `abandon_below`.
 #[allow(clippy::too_many_arguments)]
 fn run_em(
     samples: &[f64],
@@ -233,7 +240,7 @@ fn run_em(
     collect_trajectory: bool,
     abandon_below: f64,
     ws: &mut FitWorkspace,
-) -> Result<(Lvf2, FitReport, Vec<f64>), FitError> {
+) -> Result<(Lvf2, FitReport, Vec<f64>, bool), FitError> {
     let n = samples.len();
     let mut lambda = lambda0.clamp(config.min_weight, 1.0 - config.min_weight);
 
@@ -255,6 +262,7 @@ fn run_em(
     let mut ll = f64::NEG_INFINITY;
     let mut iterations = 0;
     let mut converged = false;
+    let mut abandoned = false;
     let mut trajectory = Vec::new();
     for it in 0..config.max_iterations {
         iterations = it + 1;
@@ -310,6 +318,7 @@ fn run_em(
         let remaining = (config.max_iterations - iterations) as f64;
         let last_gain = (ll - prev_ll).max(0.0);
         if ll + remaining * last_gain < abandon_below {
+            abandoned = true;
             break;
         }
         prev_ll = ll;
@@ -330,6 +339,7 @@ fn run_em(
             converged,
         },
         trajectory,
+        abandoned,
     ))
 }
 

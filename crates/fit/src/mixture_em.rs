@@ -168,8 +168,10 @@ fn fit_sn_mixture_impl(
     obs.fit_event(&FitEvent {
         fitter: "sn_mixture.em",
         iterations,
+        iterations_all: iterations,
         converged,
         restarts: 1,
+        restarts_abandoned: 0,
         log_likelihood: ll,
         trajectory: &trajectory,
         degenerate_components,

@@ -586,6 +586,8 @@ impl Obs {
         }
         self.inc("fit.em.runs", 1);
         self.inc("fit.em.restarts", e.restarts as u64);
+        self.inc("fit.em.restarts_abandoned", e.restarts_abandoned as u64);
+        self.inc("fit.em.iterations_all", e.iterations_all as u64);
         self.observe("fit.em.iterations", e.iterations as f64);
         self.observe("fit.em.final_ll", e.log_likelihood);
         if e.degenerate_components > 0 {
@@ -613,8 +615,10 @@ impl Obs {
                 &[
                     ("fitter", Value::from(e.fitter)),
                     ("iterations", Value::from(e.iterations)),
+                    ("iterations_all", Value::from(e.iterations_all)),
                     ("converged", Value::from(e.converged)),
                     ("restarts", Value::from(e.restarts)),
+                    ("restarts_abandoned", Value::from(e.restarts_abandoned)),
                     ("log_likelihood", Value::Num(e.log_likelihood)),
                     (
                         "degenerate_components",
@@ -653,10 +657,15 @@ pub struct FitEvent<'a> {
     pub fitter: &'static str,
     /// Outer EM iterations of the winning run.
     pub iterations: usize,
+    /// Outer EM iterations summed over every restart, abandoned ones
+    /// included: the EM work the fit actually did.
+    pub iterations_all: usize,
     /// Whether the tolerance was met within the iteration budget.
     pub converged: bool,
     /// Initialization candidates attempted (≥ 1).
     pub restarts: usize,
+    /// Restarts cut short because they provably trailed a finished one.
+    pub restarts_abandoned: usize,
     /// Final total log-likelihood.
     pub log_likelihood: f64,
     /// Per-iteration log-likelihood of the winning run (empty unless
@@ -859,8 +868,10 @@ mod tests {
             obs.fit_event(&FitEvent {
                 fitter: "unit.em",
                 iterations: 7,
+                iterations_all: 10,
                 converged: false,
                 restarts: 2,
+                restarts_abandoned: 1,
                 log_likelihood: -12.5,
                 trajectory: &[-20.0, -13.0, -12.5],
                 degenerate_components: 1,

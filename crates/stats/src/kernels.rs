@@ -30,9 +30,28 @@ use crate::fastmath::fast_ln_core;
 use crate::mixture::{Lvf2, Mixture, Norm2};
 use crate::normal::Normal;
 use crate::skew_normal::SkewNormal;
-use crate::special::{log_norm_cdf, log_norm_cdf_parts, norm_cdf, norm_pdf, owen_t, INV_SQRT_2PI};
+use crate::special::{
+    log_norm_cdf, log_phi_parts_chunk, log_phi_parts_in, log_phi_regime, norm_cdf, norm_pdf,
+    owen_t, INV_SQRT_2PI, SQRT_2,
+};
 
 pub use crate::special::LANES;
+
+/// Whether this host runs the AVX2 builds of the batched kernels (the
+/// skew-normal `ln_pdf_slice` here and the EM E-step's log-sum-exp in
+/// `lvf2-fit`). Detected once per process on x86_64; always `false`
+/// elsewhere. Informational only: both builds give the same bits.
+#[inline]
+pub fn avx2_enabled() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
 
 /// Chunked elementwise map: `out[i] = f(xs[i])`, [`LANES`] lanes per chunk.
 #[inline]
@@ -185,26 +204,68 @@ impl DensityKernel for SkewNormalKernel {
         (norm_cdf(z) - 2.0 * owen_t(z, self.alpha)).clamp(0.0, 1.0)
     }
 
-    /// Fused chunk body: the first lane loop standardizes and runs the
-    /// branchy polynomial half of `log Φ`
-    /// ([`log_norm_cdf_parts`](crate::special::log_norm_cdf_parts)) into
-    /// `(q, t²)` stack arrays; the second loop is branch-free — `parts`
-    /// guarantees `q` sits in [`fast_ln_core`]'s positive-normal domain — so
-    /// the eight logarithms auto-vectorize. Bit-identity with the scalar
-    /// [`ln_pdf`](Self::ln_pdf) holds because the scalar `log_norm_cdf` is
-    /// *defined* as `fast_ln(q) − t²` over the same decomposition, and
-    /// `fast_ln` ≡ `fast_ln_core` on its domain.
+    /// Dispatches to the AVX2 build of the chunk body when the host has
+    /// AVX2 ([`avx2_enabled`]), else to the portable build
+    /// ([`ln_pdf_slice_portable`](SkewNormalKernel::ln_pdf_slice_portable)).
+    /// Both builds compile the same source with no FMA and no
+    /// reassociation, so they return the same bits.
     fn ln_pdf_slice(&self, xs: &[f64], out: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if avx2_enabled() {
+            // SAFETY: the host supports AVX2 (checked just above), the only
+            // target feature `skew_normal_ln_pdf_avx2` enables.
+            return unsafe { skew_normal_ln_pdf_avx2(self, xs, out) };
+        }
+        self.ln_pdf_slice_portable(xs, out);
+    }
+}
+
+impl SkewNormalKernel {
+    /// The portable build of [`ln_pdf_slice`](DensityKernel::ln_pdf_slice),
+    /// which the dispatcher runs on hosts without AVX2. Public only so the
+    /// equivalence tests can pin both builds to the same bits.
+    #[doc(hidden)]
+    pub fn ln_pdf_slice_portable(&self, xs: &[f64], out: &mut [f64]) {
+        self.ln_pdf_chunks(xs, out);
+    }
+
+    /// Chunk body of `ln_pdf_slice`. The first lane loop standardizes,
+    /// computes `t = −αz/√2` once per lane and classifies the lane's
+    /// `log Φ` regime ([`log_phi_regime`]). On sorted input `αz` is
+    /// monotone, so nearly every chunk is regime-uniform and runs that
+    /// regime's formula as one branch-free lane loop
+    /// ([`log_phi_parts_chunk`]); a mixed chunk evaluates per lane. The
+    /// regime formulas guarantee `q` sits in [`fast_ln_core`]'s
+    /// positive-normal domain, so the last loop is branch-free as well.
+    /// Bit-identity with the scalar [`ln_pdf`](DensityKernel::ln_pdf) holds
+    /// because the scalar `log_norm_cdf` is *defined* as `fast_ln(q) − t²`
+    /// over the same regime formulas, and `fast_ln` ≡ `fast_ln_core` on its
+    /// domain.
+    #[inline(always)]
+    fn ln_pdf_chunks(&self, xs: &[f64], out: &mut [f64]) {
         assert_eq!(xs.len(), out.len(), "kernel slice length mismatch");
-        let mut q = [0.0_f64; LANES];
-        let mut tt = [0.0_f64; LANES];
         let mut xc = xs.chunks_exact(LANES);
         let mut oc = out.chunks_exact_mut(LANES);
         for (x8, o8) in xc.by_ref().zip(oc.by_ref()) {
+            let mut a = [0.0_f64; LANES];
+            let mut t = [0.0_f64; LANES];
+            let mut code = [0_u8; LANES];
             for i in 0..LANES {
                 let z = (x8[i] - self.xi) / self.omega;
                 o8[i] = self.ln_c - 0.5 * z * z;
-                (q[i], tt[i]) = log_norm_cdf_parts(self.alpha * z);
+                a[i] = self.alpha * z;
+                t[i] = -a[i] / SQRT_2;
+                code[i] = log_phi_regime(a[i], t[i]);
+            }
+            let mut q = [0.0_f64; LANES];
+            let mut tt = [0.0_f64; LANES];
+            let mixed = code.iter().fold(0_u8, |m, &c| m | (c ^ code[0]));
+            if mixed == 0 {
+                log_phi_parts_chunk(code[0], &a, &t, &mut q, &mut tt);
+            } else {
+                for i in 0..LANES {
+                    (q[i], tt[i]) = log_phi_parts_in(code[i], a[i], t[i]);
+                }
             }
             for i in 0..LANES {
                 o8[i] += fast_ln_core(q[i]) - tt[i];
@@ -214,6 +275,13 @@ impl DensityKernel for SkewNormalKernel {
             *o = self.ln_pdf(*x);
         }
     }
+}
+
+/// The AVX2 build of [`SkewNormalKernel::ln_pdf_slice`]'s chunk body.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn skew_normal_ln_pdf_avx2(k: &SkewNormalKernel, xs: &[f64], out: &mut [f64]) {
+    k.ln_pdf_chunks(xs, out);
 }
 
 // ---------------------------------------------------------------------------

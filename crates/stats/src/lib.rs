@@ -1,6 +1,9 @@
 // `!(x > 0.0)`-style guards are deliberate: they reject NaN along with
 // non-positive values, which `x <= 0.0` would not.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
+// Every `unsafe` block (the runtime-dispatched AVX2 kernel calls) states
+// why it is sound.
+#![deny(clippy::undocumented_unsafe_blocks)]
 //! Distributions and special functions for the LVF² statistical timing model.
 //!
 //! This crate is the mathematical substrate of the [LVF² DAC 2024
@@ -12,7 +15,8 @@
 //! - the distribution families compared in the paper:
 //!   [`Normal`], [`SkewNormal`] (the single-component LVF model, with the
 //!   moment ↔ parameter bijection *g* of Eq. (2)),
-//!   [`ExtendedSkewNormal`], [`LogNormal`], [`LogSkewNormal`],
+//!   [`ExtendedSkewNormal`], [`LogNormal`], the log-skew-normal
+//!   [`LogDomain`](lognormal::LogDomain)`<SkewNormal>`,
 //!   [`Lesn`] (log-extended-skew-normal, ref \[7\]), and the mixtures
 //!   [`Norm2`] (ref \[10\]) and [`Lvf2`] (the paper's contribution, Eq. (4));
 //! - empirical tools: sample moments, [`Ecdf`], histogram and quantiles;
@@ -66,7 +70,7 @@ pub use kernels::{
     DensityKernel, Lvf2Kernel, MixtureKernel, Norm2Kernel, NormalKernel, SkewNormalKernel,
 };
 pub use lesn::Lesn;
-pub use lognormal::{LogNormal, LogSkewNormal};
+pub use lognormal::LogNormal;
 pub use mixture::{Lvf2, Mixture, Norm2};
 pub use moments::Moments;
 pub use normal::Normal;

@@ -1,5 +1,6 @@
 //! Log-domain distribution families: log-normal (ref \[5\]) and
-//! log-skew-normal (ref \[6\]), built from a generic [`LogDomain`] wrapper.
+//! log-skew-normal (ref \[6\], `LogDomain<SkewNormal>`), built from a
+//! generic [`LogDomain`] wrapper.
 //!
 //! If `Y` has a finite moment generating function, then `X = exp(Y)` has raw
 //! moments `E[Xᵏ] = M_Y(k)`, from which the four standardized moments follow.
@@ -54,7 +55,8 @@ impl MgfDistribution for ExtendedSkewNormal {
 }
 
 /// `X = exp(Y)` for a Gaussian-domain `Y` — the log-domain wrapper shared by
-/// [`LogNormal`], [`LogSkewNormal`] and [`Lesn`](crate::Lesn).
+/// [`LogNormal`], the log-skew-normal `LogDomain<SkewNormal>` (ref \[6\])
+/// and [`Lesn`](crate::Lesn).
 ///
 /// # Example
 ///
@@ -75,9 +77,6 @@ pub struct LogDomain<D> {
 
 /// Log-normal distribution: `exp(N(μ, σ²))`.
 pub type LogNormal = LogDomain<Normal>;
-
-/// Log-skew-normal distribution: `exp(SN(ξ, ω, α))` (ref \[6\]).
-pub type LogSkewNormal = LogDomain<SkewNormal>;
 
 impl<D: MgfDistribution> LogDomain<D> {
     /// Wraps a Gaussian-domain distribution: the result is `exp(Y)`.

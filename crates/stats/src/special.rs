@@ -7,7 +7,7 @@
 //! far below the statistical noise of the 50k-sample Monte Carlo experiments
 //! this library targets.
 
-use crate::fastmath::{fast_exp, fast_ln};
+use crate::fastmath::{fast_exp_core, fast_ln};
 use crate::quad::gauss_legendre_32;
 
 /// √(2π).
@@ -35,25 +35,7 @@ pub fn erf(x: f64) -> f64 {
     }
     let ax = x.abs();
     if ax <= 0.46875 {
-        // erf(x) = x * P(x²)/Q(x²)
-        const P: [f64; 5] = [
-            3.209377589138469472562e3,
-            3.774852376853020208137e2,
-            1.138641541510501556495e2,
-            3.161123743870565596947e0,
-            1.857777061846031526730e-1,
-        ];
-        const Q: [f64; 5] = [
-            2.844236833439170622273e3,
-            1.282616526077372275645e3,
-            2.440246379344441733056e2,
-            2.360129095234412093499e1,
-            1.0,
-        ];
-        let z = x * x;
-        let num = ((((P[4] * z + P[3]) * z + P[2]) * z + P[1]) * z) + P[0];
-        let den = ((((Q[4] * z + Q[3]) * z + Q[2]) * z + Q[1]) * z) + Q[0];
-        x * num / den
+        erf_small(x)
     } else {
         let e = erfc_abs(ax);
         if x >= 0.0 {
@@ -62,6 +44,30 @@ pub fn erf(x: f64) -> f64 {
             e - 1.0
         }
     }
+}
+
+/// Cody's rational `erf(x) = x·P(x²)/Q(x²)` for `|x| ≤ 0.46875`: the
+/// small-argument branch of [`erf`] and the body regime of `log Φ`.
+#[inline(always)]
+fn erf_small(x: f64) -> f64 {
+    const P: [f64; 5] = [
+        3.209377589138469472562e3,
+        3.774852376853020208137e2,
+        1.138641541510501556495e2,
+        3.161123743870565596947e0,
+        1.857777061846031526730e-1,
+    ];
+    const Q: [f64; 5] = [
+        2.844236833439170622273e3,
+        1.282616526077372275645e3,
+        2.440246379344441733056e2,
+        2.360129095234412093499e1,
+        1.0,
+    ];
+    let z = x * x;
+    let num = ((((P[4] * z + P[3]) * z + P[2]) * z + P[1]) * z) + P[0];
+    let den = ((((Q[4] * z + Q[3]) * z + Q[2]) * z + Q[1]) * z) + Q[0];
+    x * num / den
 }
 
 /// Complementary error function `erfc(x) = 1 − erf(x)`, accurate in both tails.
@@ -104,7 +110,7 @@ fn erfc_abs(ax: f64) -> f64 {
 
 /// Rational factor of Cody's erfc on `0.46875 < x ≤ 4`:
 /// `erfc(x) = exp(−x²) · R(x)` with `R` = this function.
-#[inline]
+#[inline(always)]
 fn erfc_r_mid(ax: f64) -> f64 {
     const P: [f64; 9] = [
         1.23033935479799725272e3,
@@ -139,7 +145,7 @@ fn erfc_r_mid(ax: f64) -> f64 {
 
 /// Scaled far-tail factor of Cody's erfc for `x > 4`:
 /// `erfc(x) = exp(−x²)/x · S(x)` with `S` = this function.
-#[inline]
+#[inline(always)]
 fn erfc_r_far(ax: f64) -> f64 {
     const P: [f64; 6] = [
         -6.58749161529837803157e-4,
@@ -259,61 +265,176 @@ pub fn log_norm_cdf(x: f64) -> f64 {
 
 /// Decomposes `log Φ(x)` into `(q, t²)` with `log Φ(x) = ln(q) − t²`.
 ///
-/// The split exists so batched callers can run this (branchy, polynomial)
-/// part elementwise and then take all the logarithms in one branch-free,
+/// The split exists so batched callers can run this (polynomial) part per
+/// lane and then take all the logarithms in one branch-free,
 /// auto-vectorizable loop over `fast_ln_core` — `q` is guaranteed to be a
 /// positive normal f64 in `[~0.04, 1]` for every input, including NaN and
 /// ±∞ (specials are folded into the `t²` term).
 ///
-/// Regimes:
-/// - `x > 0.663` (`t = −x/√2 < −0.46875`): `q = Φ(x)` via Cody's reflected
-///   erfc with [`fast_exp`], `t² = 0`;
+/// The function is [`log_phi_regime`] followed by that regime's formula
+/// ([`log_phi_parts_in`]); the batched kernels call the same two pieces, so
+/// each formula is written once. Regimes, with `t = −x/√2`:
+///
+/// - `x > 0.663` (`t < −0.46875`): `q = Φ(x) = 1 − ½·erfc(−t)`, Cody's
+///   reflected erfc with [`fast_exp_core`], `t² = 0` — split at `−t = 4`
+///   (mid/far rationals) and `−t = 26` (beyond which `erfc` is 0 and
+///   `q = 1`);
 /// - `|x| ≤ 0.663`: `q = Φ(x) = ½·erfc(t)` — the erf rational, no `exp` at
 ///   all; `t² = 0`;
 /// - `−8 < x < −0.663`: the *fused* regime `q = ½·erfcx(t)`, `t²` carried
 ///   separately — algebraically `Φ(x) = ½·exp(−t²)·erfcx(t)` but skipping
-///   the `exp`/`ln` round-trip through a subnormal-bound intermediate; this
-///   is the hot region for the EM fitter's `SkewNormal::ln_pdf`;
-/// - `x ≤ −8`: the asymptotic expansion
+///   the `exp`/`ln` round-trip through a subnormal-bound intermediate; split
+///   at `t = 4` (mid/far rationals); this is the hot region for the EM
+///   fitter's `SkewNormal::ln_pdf`;
+/// - `x ≤ −8` (and NaN): the asymptotic expansion
 ///   `log Φ(x) ≈ −x²/2 − log(−x√(2π)) + log(1 − 1/x² + 3/x⁴ − 15/x⁶ + …)`,
 ///   precomputed in full and returned as `(1, −value)` (exact because
 ///   `ln 1 = 0` and `0 − (−v) = v`).
 #[inline]
 pub(crate) fn log_norm_cdf_parts(x: f64) -> (f64, f64) {
+    let t = -x / SQRT_2;
+    log_phi_parts_in(log_phi_regime(x, t), x, t)
+}
+
+// ---------------------------------------------------------------------------
+// log Φ by regime
+// ---------------------------------------------------------------------------
+
+/// `log Φ` regime codes, as returned by [`log_phi_regime`]: ordered by
+/// ascending `t = −x/√2` (descending `x`), with the asymptotic series last.
+pub(crate) mod regime {
+    /// `t < −26`: `erfc(−t)` is 0, `q = 1`.
+    pub const REFLECTED_ONE: u8 = 0;
+    /// `−26 ≤ t < −4`: reflected far-tail erfc.
+    pub const REFLECTED_FAR: u8 = 1;
+    /// `−4 ≤ t < −0.46875`: reflected mid-range erfc.
+    pub const REFLECTED_MID: u8 = 2;
+    /// `|t| ≤ 0.46875`: the erf rational.
+    pub const BODY: u8 = 3;
+    /// `0.46875 < t ≤ 4` (and `x > −8`): fused erfcx, mid-range rational.
+    pub const FUSED_MID: u8 = 4;
+    /// `t > 4` (and `x > −8`): fused erfcx, far-tail rational.
+    pub const FUSED_FAR: u8 = 5;
+    /// `x ≤ −8` or NaN: the asymptotic series.
+    pub const ASYMPTOTIC: u8 = 6;
+}
+
+/// Classifies `x` (with `t = −x/√2` precomputed by the caller) into its
+/// [`regime`] code. Branch-free: the code below the asymptotic cut is the
+/// number of `t` thresholds passed, so a lane loop over it vectorizes.
+#[inline(always)]
+pub(crate) fn log_phi_regime(x: f64, t: f64) -> u8 {
+    let code = (t >= -26.0) as u8
+        + (t >= -4.0) as u8
+        + (t >= -0.46875) as u8
+        + (t > 0.46875) as u8
+        + (t > 4.0) as u8;
+    // NaN fails the `x > −8` compare and takes the series, whose arithmetic
+    // propagates it into the t² slot.
     if x > -8.0 {
-        let t = -x / SQRT_2;
-        if t > 0.46875 {
-            (0.5 * erfc_abs_scaled(t), t * t)
-        } else if t >= -0.46875 {
-            (0.5 * (1.0 - erf(t)), 0.0)
-        } else {
-            (0.5 * (2.0 - erfc_abs_fast(-t)), 0.0)
-        }
+        code
     } else {
-        // NaN lands here too (the `x > -8` compare is false) and propagates
-        // through the arithmetic into the t² slot.
-        let x2 = x * x;
-        let x4 = x2 * x2;
-        let series = 1.0 - 1.0 / x2 + 3.0 / x4 - 15.0 / (x4 * x2) + 105.0 / (x4 * x4);
-        let v = -0.5 * x2 - fast_ln(-x * SQRT_2PI) + fast_ln(series);
-        (1.0, -v)
+        regime::ASYMPTOTIC
     }
 }
 
-/// [`erfc_abs`] with the exponential taken by [`fast_exp`]: the body-positive
-/// regime of `log Φ` owns its own accuracy budget (~2 ulp on `q ∈ [0.75, 1]`
-/// is invisible after the log), while `erf`/`erfc`/`norm_cdf` keep libm.
-#[inline]
-fn erfc_abs_fast(ax: f64) -> f64 {
-    debug_assert!(ax > 0.46875);
-    if ax > 26.0 {
-        return 0.0;
+/// `(q, t²)` for `x` in regime `code` (`t = −x/√2`); the scalar form of
+/// [`log_norm_cdf_parts`] with the classification already done.
+#[inline(always)]
+pub(crate) fn log_phi_parts_in(code: u8, x: f64, t: f64) -> (f64, f64) {
+    match code {
+        regime::REFLECTED_ONE => (1.0, 0.0),
+        regime::REFLECTED_FAR => log_phi_reflected_far(t),
+        regime::REFLECTED_MID => log_phi_reflected_mid(t),
+        regime::BODY => log_phi_body(t),
+        regime::FUSED_MID => log_phi_fused_mid(t),
+        regime::FUSED_FAR => log_phi_fused_far(t),
+        _ => log_phi_asymptotic(x),
     }
-    if ax <= 4.0 {
-        fast_exp(-ax * ax) * erfc_r_mid(ax)
-    } else {
-        (fast_exp(-ax * ax) / ax) * erfc_r_far(ax)
+}
+
+/// [`log_phi_parts_in`] over a whole chunk whose lanes all sit in regime
+/// `code`: one branch-free lane loop of that regime's formula, which the
+/// compiler vectorizes. Bit-identical to the per-lane form.
+#[inline(always)]
+pub(crate) fn log_phi_parts_chunk(
+    code: u8,
+    x: &[f64; LANES],
+    t: &[f64; LANES],
+    q: &mut [f64; LANES],
+    tt: &mut [f64; LANES],
+) {
+    #[inline(always)]
+    fn lanes(
+        v: &[f64; LANES],
+        q: &mut [f64; LANES],
+        tt: &mut [f64; LANES],
+        f: impl Fn(f64) -> (f64, f64),
+    ) {
+        for i in 0..LANES {
+            (q[i], tt[i]) = f(v[i]);
+        }
     }
+    match code {
+        regime::REFLECTED_ONE => {
+            *q = [1.0; LANES];
+            *tt = [0.0; LANES];
+        }
+        regime::REFLECTED_FAR => lanes(t, q, tt, log_phi_reflected_far),
+        regime::REFLECTED_MID => lanes(t, q, tt, log_phi_reflected_mid),
+        regime::BODY => lanes(t, q, tt, log_phi_body),
+        regime::FUSED_MID => lanes(t, q, tt, log_phi_fused_mid),
+        regime::FUSED_FAR => lanes(t, q, tt, log_phi_fused_far),
+        _ => lanes(x, q, tt, log_phi_asymptotic),
+    }
+}
+
+/// Reflected far tail, `−26 ≤ t < −4`: `q = 1 − ½·erfc(−t)`. The
+/// exponent `−t² ≥ −676` is inside [`fast_exp_core`]'s domain.
+#[inline(always)]
+fn log_phi_reflected_far(t: f64) -> (f64, f64) {
+    let ax = -t;
+    (
+        0.5 * (2.0 - (fast_exp_core(-ax * ax) / ax) * erfc_r_far(ax)),
+        0.0,
+    )
+}
+
+/// Reflected mid range, `−4 ≤ t < −0.46875`: `q = 1 − ½·erfc(−t)`.
+#[inline(always)]
+fn log_phi_reflected_mid(t: f64) -> (f64, f64) {
+    let ax = -t;
+    (0.5 * (2.0 - fast_exp_core(-ax * ax) * erfc_r_mid(ax)), 0.0)
+}
+
+/// Body, `|t| ≤ 0.46875`: `q = ½·(1 − erf(t))`.
+#[inline(always)]
+fn log_phi_body(t: f64) -> (f64, f64) {
+    (0.5 * (1.0 - erf_small(t)), 0.0)
+}
+
+/// Fused mid range, `0.46875 < t ≤ 4`: `q = ½·erfcx(t)`, `t²` separate.
+#[inline(always)]
+fn log_phi_fused_mid(t: f64) -> (f64, f64) {
+    (0.5 * erfc_r_mid(t), t * t)
+}
+
+/// Fused far tail, `t > 4` (so `t < 8/√2`): `q = ½·erfcx(t)`, `t²`
+/// separate.
+#[inline(always)]
+fn log_phi_fused_far(t: f64) -> (f64, f64) {
+    (0.5 * (erfc_r_far(t) / t), t * t)
+}
+
+/// Asymptotic series for `x ≤ −8` (and NaN, ±∞ via [`fast_ln`]'s guards),
+/// returned as `(1, −log Φ(x))`.
+#[inline(always)]
+fn log_phi_asymptotic(x: f64) -> (f64, f64) {
+    let x2 = x * x;
+    let x4 = x2 * x2;
+    let series = 1.0 - 1.0 / x2 + 3.0 / x4 - 15.0 / (x4 * x2) + 105.0 / (x4 * x4);
+    let v = -0.5 * x2 - fast_ln(-x * SQRT_2PI) + fast_ln(series);
+    (1.0, -v)
 }
 
 // ---------------------------------------------------------------------------

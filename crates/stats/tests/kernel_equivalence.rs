@@ -10,7 +10,15 @@
 //! exercises the far-tail `erfc` branches), and awkward slice lengths —
 //! empty, single-element, and odd lengths that leave a ragged remainder
 //! after the 8-lane chunking.
+//!
+//! The skew-normal `ln_pdf_slice` has two builds of one chunk body — a
+//! portable one and, on x86_64 hosts with AVX2, a `target_feature` one picked
+//! at run time. The `*_builds_*` tests below pin the portable build, the
+//! dispatched build and the scalar `ln_pdf` to the same bits on sorted,
+//! reversed and shuffled inputs, on chunks straddling every `log Φ` regime
+//! edge, and on NaN/±∞ lanes.
 
+use lvf2_stats::kernels::{DensityKernel, SkewNormalKernel};
 use lvf2_stats::{Distribution, Lvf2, Mixture, Moments, Norm2, Normal, SkewNormal};
 use proptest::prelude::*;
 
@@ -79,8 +87,71 @@ fn assert_bitwise<D: Distribution>(d: &D, xs: &[f64]) -> Result<(), TestCaseErro
     Ok(())
 }
 
+/// Bitwise equality, with every NaN equal to every other: Rust leaves the
+/// sign and payload of a NaN produced by arithmetic unspecified, so only
+/// NaN-ness is part of the contract.
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Asserts the portable build, the dispatched build and the scalar
+/// `ln_pdf` of `sn` agree bit-for-bit on `xs`.
+fn assert_builds_agree(sn: &SkewNormal, xs: &[f64]) -> Result<(), TestCaseError> {
+    let k = SkewNormalKernel::new(sn);
+    let mut portable = vec![0.0; xs.len()];
+    let mut dispatched = vec![0.0; xs.len()];
+    k.ln_pdf_slice_portable(xs, &mut portable);
+    k.ln_pdf_slice(xs, &mut dispatched);
+    for (i, &x) in xs.iter().enumerate() {
+        let s = sn.ln_pdf(x);
+        prop_assert!(
+            same_bits(portable[i], s),
+            "portable mismatch at i={} x={}: {} vs scalar {}",
+            i,
+            x,
+            portable[i],
+            s
+        );
+        prop_assert!(
+            same_bits(dispatched[i], s),
+            "dispatched mismatch at i={} x={}: {} vs scalar {}",
+            i,
+            x,
+            dispatched[i],
+            s
+        );
+    }
+    Ok(())
+}
+
+/// Fisher–Yates shuffle driven by a 64-bit LCG, so a proptest seed picks
+/// the permutation.
+fn shuffle(xs: &mut [f64], mut seed: u64) {
+    for i in (1..xs.len()).rev() {
+        seed = seed
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        xs.swap(i, ((seed >> 33) % (i as u64 + 1)) as usize);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn skew_normal_builds_agree_on_sorted_reversed_and_shuffled_input(
+        sn in skew_normal(),
+        zs in proptest::collection::vec(-12.0..12.0f64, 0..300),
+        seed in 0u64..1_000_000,
+    ) {
+        let mut xs = probe_points(sn.mean(), sn.std_dev(), &zs);
+        xs.sort_by(f64::total_cmp);
+        assert_builds_agree(&sn, &xs)?;
+        xs.reverse();
+        assert_builds_agree(&sn, &xs)?;
+        shuffle(&mut xs, seed);
+        assert_builds_agree(&sn, &xs)?;
+    }
 
     #[test]
     fn normal_batch_is_bit_identical(
@@ -182,5 +253,81 @@ fn fixed_edge_lengths_and_tails() {
         for (&x, &o) in xs.iter().zip(&out) {
             assert_eq!(o.to_bits(), sn.cdf(x).to_bits(), "cdf len={len} x={x}");
         }
+    }
+}
+
+/// `α·z` values around every `log Φ` regime edge — `x = −8`, `t = ±0.46875`,
+/// `t = ±4` and `−t = 26` with `t = −x/√2` — a few ulps and a few
+/// hundredths either side, sorted.
+fn regime_edge_points() -> Vec<f64> {
+    let sqrt2 = std::f64::consts::SQRT_2;
+    let edges = [
+        -8.0,
+        -0.46875 * sqrt2,
+        0.46875 * sqrt2,
+        -4.0 * sqrt2,
+        4.0 * sqrt2,
+        26.0 * sqrt2,
+    ];
+    let mut xs = Vec::new();
+    for e in edges {
+        let (mut up, mut down) = (e, e);
+        xs.push(e);
+        for _ in 0..6 {
+            up = up.next_up();
+            down = down.next_down();
+            xs.extend([up, down]);
+        }
+        for d in [1e-9, 1e-3, 0.02, 0.05] {
+            xs.extend([e - d, e + d]);
+        }
+    }
+    xs.sort_by(f64::total_cmp);
+    xs
+}
+
+/// With `ξ = 0, ω = 1` the skew argument is `α·x`, so `α = 1` puts the
+/// regime edges at the probe points and `α = −1` mirrors them. Every window
+/// offset shifts where the 8-lane chunks cut, so each edge lands inside a
+/// chunk as well as on a chunk boundary.
+#[test]
+fn skew_normal_builds_agree_across_regime_edges() {
+    let edges = regime_edge_points();
+    for alpha in [1.0, -1.0] {
+        let sn = SkewNormal::new(0.0, 1.0, alpha).expect("valid");
+        for offset in 0..8 {
+            let xs = &edges[offset..];
+            assert_builds_agree(&sn, xs).unwrap();
+        }
+    }
+}
+
+/// NaN and ±∞ lanes, alone and mixed into chunks of ordinary values.
+#[test]
+fn skew_normal_builds_agree_on_special_lanes() {
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    for alpha in [3.0, -3.0, 0.0] {
+        let sn = SkewNormal::new(0.5, 0.2, alpha).expect("valid");
+        for &sp in &specials {
+            assert_builds_agree(&sn, &[sp; 17]).unwrap();
+            for lane in 0..9 {
+                let mut xs: Vec<f64> = (0..17).map(|i| -1.0 + 0.15 * i as f64).collect();
+                xs[lane] = sp;
+                xs[lane + 8] = sp;
+                assert_builds_agree(&sn, &xs).unwrap();
+            }
+        }
+    }
+}
+
+/// Every slice length from empty to two chunks plus one.
+#[test]
+fn skew_normal_builds_agree_at_every_length_up_to_17() {
+    let sn = SkewNormal::from_moments(Moments::new(0.12, 0.015, 0.6)).expect("valid");
+    for len in 0..=17usize {
+        let xs: Vec<f64> = (0..len)
+            .map(|i| sn.mean() + (-9.0 + 1.1 * i as f64) * sn.std_dev())
+            .collect();
+        assert_builds_agree(&sn, &xs).unwrap();
     }
 }
