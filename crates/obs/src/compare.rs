@@ -24,6 +24,13 @@
 //! A quality key present in the baseline but missing from the current run
 //! always fails (a silently dropped metric is how regressions hide); new
 //! keys in the current run are informational.
+//!
+//! Wall keys are judged only when both summaries record the same
+//! `params.host_cores`: a wall time from a 1-core host says nothing about a
+//! 4-core one. Otherwise each wall key prints a `refused` line naming both
+//! core counts (`missing` where a side has none) and never gates, while the
+//! other keys stay gated — as `perfbench/compare.py` refuses wall-time
+//! metrics across core counts.
 
 use crate::json::Value;
 
@@ -125,7 +132,40 @@ fn rel_change(base: f64, current: f64) -> f64 {
     }
 }
 
-fn judge(out: &mut BenchComparison, key: &str, base: f64, current: f64, cfg: &CompareConfig) {
+/// `params.host_cores` of a bench summary, when it records one.
+fn host_cores(doc: &Value) -> Option<f64> {
+    doc.get("params")?.get("host_cores")?.as_f64()
+}
+
+/// Why wall keys cannot be judged across these two summaries, or `None`
+/// when both ran on the same recorded core count.
+fn wall_refusal(base: &Value, current: &Value) -> Option<String> {
+    let (b, c) = (host_cores(base), host_cores(current));
+    if b.is_some() && b == c {
+        return None;
+    }
+    let show = |n: Option<f64>| n.map_or_else(|| "missing".to_string(), |n| n.to_string());
+    Some(format!(
+        "host_cores {} (baseline) vs {} (current)",
+        show(b),
+        show(c)
+    ))
+}
+
+fn judge(
+    out: &mut BenchComparison,
+    key: &str,
+    base: f64,
+    current: f64,
+    cfg: &CompareConfig,
+    refusal: Option<&str>,
+) {
+    if let (true, Some(why)) = (is_wall_key(key), refusal) {
+        out.lines.push(format!(
+            "{key}: {base:.6} -> {current:.6} [refused: wall key across {why}]"
+        ));
+        return;
+    }
     let dir = direction(key);
     let tol = if is_wall_key(key) {
         cfg.wall_tol
@@ -209,13 +249,15 @@ pub fn compare_bench(
         .get("wall_ms")
         .and_then(Value::as_f64)
         .ok_or("current: missing `wall_ms`")?;
-    judge(&mut out, "wall_ms", base_wall, cur_wall, cfg);
+    let refusal = wall_refusal(base, current);
+    let refusal = refusal.as_deref();
+    judge(&mut out, "wall_ms", base_wall, cur_wall, cfg, refusal);
 
     let base_q = quality_map(base)?;
     let cur_q = quality_map(current)?;
     for (key, bv) in &base_q {
         match cur_q.iter().find(|(k, _)| k == key) {
-            Some((_, cv)) => judge(&mut out, key, *bv, *cv, cfg),
+            Some((_, cv)) => judge(&mut out, key, *bv, *cv, cfg, refusal),
             None => {
                 out.lines
                     .push(format!("{key}: {bv:.6} -> (missing) [FAIL]"));
@@ -240,11 +282,75 @@ mod tests {
     use crate::json::parse;
 
     fn bench(wall: f64, quality: &str) -> Value {
+        bench_on(r#""host_cores":4"#, wall, quality)
+    }
+
+    /// A summary whose `params` object holds `params` (JSON members).
+    fn bench_on(params: &str, wall: f64, quality: &str) -> Value {
         parse(&format!(
             r#"{{"schema":"lvf2-bench-v1","name":"mc","wall_ms":{wall},
-                "params":{{}},"quality":{{{quality}}},"metrics":{{}}}}"#
+                "params":{{{params}}},"quality":{{{quality}}},"metrics":{{}}}}"#
         ))
         .unwrap()
+    }
+
+    #[test]
+    fn wall_keys_across_core_counts_are_refused_not_judged() {
+        let quality = |p99: f64, err: f64| format!(r#""job_p99_ms":{p99},"tail_rel_err":{err}"#);
+        let base = bench_on(r#""host_cores":1"#, 100.0, &quality(40.0, 0.1));
+        // 3x slower on every wall key, on a 2-core host: refused, passes.
+        let slow = bench_on(r#""host_cores":2"#, 300.0, &quality(120.0, 0.1));
+        let cmp = compare_bench(&base, &slow, &CompareConfig::default()).unwrap();
+        assert!(cmp.passed(), "{}", cmp.report());
+        for key in ["wall_ms", "job_p99_ms"] {
+            let line = cmp.lines.iter().find(|l| l.starts_with(key)).unwrap();
+            assert!(line.contains("refused"), "{line}");
+            assert!(
+                line.contains("host_cores 1 (baseline) vs 2 (current)"),
+                "{line}"
+            );
+        }
+        // Quality keys stay gated across core counts.
+        let worse = bench_on(r#""host_cores":2"#, 100.0, &quality(40.0, 0.2));
+        let cmp = compare_bench(&base, &worse, &CompareConfig::default()).unwrap();
+        assert!(!cmp.passed());
+        assert!(
+            cmp.failures.iter().all(|f| f.contains("tail_rel_err")),
+            "{cmp:?}"
+        );
+    }
+
+    #[test]
+    fn wall_keys_without_a_recorded_core_count_are_refused() {
+        let with = bench_on(r#""host_cores":2"#, 100.0, r#""tail_rel_err":0.1"#);
+        let without = bench_on("", 300.0, r#""tail_rel_err":0.1"#);
+        for (base, current, want) in [
+            (
+                &with,
+                &without,
+                "host_cores 2 (baseline) vs missing (current)",
+            ),
+            (
+                &without,
+                &with,
+                "host_cores missing (baseline) vs 2 (current)",
+            ),
+            (
+                &without,
+                &without,
+                "host_cores missing (baseline) vs missing (current)",
+            ),
+        ] {
+            let cmp = compare_bench(base, current, &CompareConfig::default()).unwrap();
+            assert!(cmp.passed(), "{}", cmp.report());
+            let line = cmp.lines.iter().find(|l| l.starts_with("wall_ms")).unwrap();
+            assert!(line.contains("refused") && line.contains(want), "{line}");
+        }
+        // Same recorded count: judged as before.
+        let slow = bench_on(r#""host_cores":2"#, 300.0, r#""tail_rel_err":0.1"#);
+        let cmp = compare_bench(&with, &slow, &CompareConfig::default()).unwrap();
+        assert!(!cmp.passed());
+        assert!(cmp.report().contains("wall_ms moved"), "{}", cmp.report());
     }
 
     #[test]

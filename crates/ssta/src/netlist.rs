@@ -1107,7 +1107,10 @@ mod tests {
         // (`ops::tests::skewness_limit_edge_is_bisected`). `PINNED` was
         // re-recorded once more when the EM E-step moved to the libm-free
         // log-sum-exp on sorted samples: LVF² moved by at most 143 ulp
-        // (SUM's P_viol, ~2e-14 relative), LVF not at all.
+        // (SUM's P_viol, ~2e-14 relative), LVF not at all. And once more
+        // when the skew-normal pdf moved to one `exp` over the `log Φ`
+        // parts: LVF² moved by at most 27 ulp (SUM's P_viol, 3.8e-15
+        // relative), LVF not at all.
         const BEFORE: Pins = [
             (
                 "SUM",
@@ -1126,13 +1129,13 @@ mod tests {
             (
                 "SUM",
                 [0x3fb2a7d8be9dc57e, 0x3f89593a823ed5ec, 0x3f38259204382cf0],
-                [0x3fb2adb3ce873e80, 0x3f894d1d10c986ad, 0x3f1916e0aaaedd4e],
+                [0x3fb2adb3ce873e80, 0x3f894d1d10c986b1, 0x3f1916e0aaaedd33],
                 0x0000000000000000,
             ),
             (
                 "COUT",
                 [0x3fbac2533a3c3554, 0x3f8bb99b3ef8f4a1, 0x3fc06865c99e9a8c],
-                [0x3fbac7e78a07d9e9, 0x3f8baa593e9e9370, 0x3fc0791a81dc1670],
+                [0x3fbac7e78a07d9eb, 0x3f8baa593e9e9373, 0x3fc0791a81dc167f],
                 0x3fc0a3d70a3d70a4,
             ),
         ];

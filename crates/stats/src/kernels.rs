@@ -26,7 +26,7 @@
 //! down with `to_bits` comparisons over random parameters, tail inputs and
 //! odd-length slices.
 
-use crate::fastmath::fast_ln_core;
+use crate::fastmath::{fast_exp_core, fast_ln_core};
 use crate::mixture::{Lvf2, Mixture, Norm2};
 use crate::normal::Normal;
 use crate::skew_normal::SkewNormal;
@@ -38,8 +38,9 @@ use crate::special::{
 pub use crate::special::LANES;
 
 /// Whether this host runs the AVX2 builds of the batched kernels (the
-/// skew-normal `ln_pdf_slice` here and the EM E-step's log-sum-exp in
-/// `lvf2-fit`). Detected once per process on x86_64; always `false`
+/// skew-normal `ln_pdf_slice` and `pdf_slice` here, the EM E-step's
+/// log-sum-exp in `lvf2-fit` and the statistical max's panel loop in
+/// `lvf2-ssta`). Detected once per process on x86_64; always `false`
 /// elsewhere. Informational only: both builds give the same bits.
 #[inline]
 pub fn avx2_enabled() -> bool {
@@ -153,7 +154,49 @@ impl DensityKernel for NormalKernel {
 // SkewNormal
 // ---------------------------------------------------------------------------
 
-/// Kernel for [`SkewNormal`]: hoists `ln 2 + ln(1/√2π) − ln ω` and `2/ω`.
+/// Exponents below this flush the skew-normal pdf's `exp` to 0: the edge
+/// of [`fast_exp_core`]'s domain.
+const EXP_FLUSH: f64 = -708.0;
+
+/// `exp(e)` for an exponent `e ≤ 0`: [`fast_exp_core`] on its domain, 0
+/// below −708 (and for −∞), NaN for NaN. Branch-free: the core runs on the
+/// clamped exponent and selects pick the flush and the NaN.
+#[inline(always)]
+fn exp_nonpositive(e: f64) -> f64 {
+    let inside = e >= EXP_FLUSH;
+    let v = fast_exp_core(if inside { e } else { EXP_FLUSH });
+    if inside {
+        v
+    } else if e < EXP_FLUSH {
+        0.0
+    } else {
+        e
+    }
+}
+
+/// The skew-normal pdf from the `log Φ(αz)` parts `(q, t²)`:
+/// `c·φ(z)·Φ(αz)·√(2π) = c·q·exp(−z²/2 − t²)` with `c = (2/ω)·(1/√2π)`, one
+/// `exp` per point and no `erfc` (`q` is a rational or asymptotic term).
+#[inline(always)]
+fn pdf_from_parts(c: f64, z: f64, q: f64, tt: f64) -> f64 {
+    c * q * exp_nonpositive(-0.5 * z * z - tt)
+}
+
+/// The skew-normal pdf `c·φ(z)·Φ(αz)·√(2π)` at the standardized point `z`,
+/// `c = (2/ω)·(1/√2π)`. The scalar [`SkewNormal::pdf`](crate::Distribution::pdf),
+/// [`SkewNormalKernel::pdf`] and the remainder lanes of `pdf_slice` all
+/// call this, and the chunk body of `pdf_slice` runs the same parts, so
+/// every path returns the same bits.
+#[inline(always)]
+pub(crate) fn skew_normal_pdf(c: f64, z: f64, alpha: f64) -> f64 {
+    let a = alpha * z;
+    let t = -a / SQRT_2;
+    let (q, tt) = log_phi_parts_in(log_phi_regime(a, t), a, t);
+    pdf_from_parts(c, z, q, tt)
+}
+
+/// Kernel for [`SkewNormal`]: hoists `ln 2 + ln(1/√2π) − ln ω` and
+/// `(2/ω)·(1/√2π)`.
 #[derive(Debug, Clone, Copy)]
 pub struct SkewNormalKernel {
     xi: f64,
@@ -161,8 +204,8 @@ pub struct SkewNormalKernel {
     alpha: f64,
     /// `ln 2 + ln(1/√2π) − ln ω`, associated exactly as the scalar `ln_pdf`.
     ln_c: f64,
-    /// `2/ω`, the scalar `pdf`'s leading factor.
-    two_over_omega: f64,
+    /// `(2/ω)·(1/√2π)`, associated exactly as the scalar `pdf`.
+    pdf_c: f64,
 }
 
 impl SkewNormalKernel {
@@ -174,7 +217,7 @@ impl SkewNormalKernel {
             omega: sn.omega(),
             alpha: sn.alpha(),
             ln_c: std::f64::consts::LN_2 + INV_SQRT_2PI.ln() - sn.omega().ln(),
-            two_over_omega: 2.0 / sn.omega(),
+            pdf_c: 2.0 / sn.omega() * INV_SQRT_2PI,
         }
     }
 }
@@ -194,8 +237,7 @@ impl DensityKernel for SkewNormalKernel {
 
     #[inline]
     fn pdf(&self, x: f64) -> f64 {
-        let z = (x - self.xi) / self.omega;
-        self.two_over_omega * norm_pdf(z) * norm_cdf(self.alpha * z)
+        skew_normal_pdf(self.pdf_c, (x - self.xi) / self.omega, self.alpha)
     }
 
     #[inline]
@@ -218,6 +260,20 @@ impl DensityKernel for SkewNormalKernel {
         }
         self.ln_pdf_slice_portable(xs, out);
     }
+
+    /// Dispatches like [`ln_pdf_slice`](DensityKernel::ln_pdf_slice): the
+    /// AVX2 build of the chunk body when the host has AVX2, else
+    /// [`pdf_slice_portable`](SkewNormalKernel::pdf_slice_portable); same
+    /// source, same bits.
+    fn pdf_slice(&self, xs: &[f64], out: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if avx2_enabled() {
+            // SAFETY: the host supports AVX2 (checked just above), the only
+            // target feature `skew_normal_pdf_avx2` enables.
+            return unsafe { skew_normal_pdf_avx2(self, xs, out) };
+        }
+        self.pdf_slice_portable(xs, out);
+    }
 }
 
 impl SkewNormalKernel {
@@ -229,50 +285,89 @@ impl SkewNormalKernel {
         self.ln_pdf_chunks(xs, out);
     }
 
-    /// Chunk body of `ln_pdf_slice`. The first lane loop standardizes,
-    /// computes `t = −αz/√2` once per lane and classifies the lane's
-    /// `log Φ` regime ([`log_phi_regime`]). On sorted input `αz` is
-    /// monotone, so nearly every chunk is regime-uniform and runs that
-    /// regime's formula as one branch-free lane loop
-    /// ([`log_phi_parts_chunk`]); a mixed chunk evaluates per lane. The
-    /// regime formulas guarantee `q` sits in [`fast_ln_core`]'s
-    /// positive-normal domain, so the last loop is branch-free as well.
-    /// Bit-identity with the scalar [`ln_pdf`](DensityKernel::ln_pdf) holds
-    /// because the scalar `log_norm_cdf` is *defined* as `fast_ln(q) − t²`
-    /// over the same regime formulas, and `fast_ln` ≡ `fast_ln_core` on its
-    /// domain.
+    /// The `log Φ(αz)` parts of one chunk, shared by both chunk bodies:
+    /// per lane the standardized `z` and `(q, t²)` with
+    /// `log Φ(αz) = ln q − t²`. The first lane loop standardizes, computes
+    /// `t = −αz/√2` once per lane and classifies the lane's `log Φ` regime
+    /// ([`log_phi_regime`]). On sorted input `αz` is monotone, so nearly
+    /// every chunk is regime-uniform and runs that regime's formula as one
+    /// branch-free lane loop ([`log_phi_parts_chunk`]); a mixed chunk
+    /// evaluates per lane.
+    #[inline(always)]
+    fn parts_chunk(&self, x8: &[f64]) -> ([f64; LANES], [f64; LANES], [f64; LANES]) {
+        let mut z = [0.0_f64; LANES];
+        let mut a = [0.0_f64; LANES];
+        let mut t = [0.0_f64; LANES];
+        let mut code = [0_u8; LANES];
+        for i in 0..LANES {
+            z[i] = (x8[i] - self.xi) / self.omega;
+            a[i] = self.alpha * z[i];
+            t[i] = -a[i] / SQRT_2;
+            code[i] = log_phi_regime(a[i], t[i]);
+        }
+        let mut q = [0.0_f64; LANES];
+        let mut tt = [0.0_f64; LANES];
+        let mixed = code.iter().fold(0_u8, |m, &c| m | (c ^ code[0]));
+        if mixed == 0 {
+            log_phi_parts_chunk(code[0], &a, &t, &mut q, &mut tt);
+        } else {
+            for i in 0..LANES {
+                (q[i], tt[i]) = log_phi_parts_in(code[i], a[i], t[i]);
+            }
+        }
+        (z, q, tt)
+    }
+
+    /// Chunk body of `ln_pdf_slice`: [`parts_chunk`], then one lane loop.
+    /// The regime formulas guarantee `q` sits in [`fast_ln_core`]'s
+    /// positive-normal domain, so that loop is branch-free. Bit-identity
+    /// with the scalar [`ln_pdf`](DensityKernel::ln_pdf) holds because the
+    /// scalar `log_norm_cdf` is *defined* as `fast_ln(q) − t²` over the same
+    /// regime formulas, and `fast_ln` ≡ `fast_ln_core` on its domain.
+    ///
+    /// [`parts_chunk`]: SkewNormalKernel::parts_chunk
     #[inline(always)]
     fn ln_pdf_chunks(&self, xs: &[f64], out: &mut [f64]) {
         assert_eq!(xs.len(), out.len(), "kernel slice length mismatch");
         let mut xc = xs.chunks_exact(LANES);
         let mut oc = out.chunks_exact_mut(LANES);
         for (x8, o8) in xc.by_ref().zip(oc.by_ref()) {
-            let mut a = [0.0_f64; LANES];
-            let mut t = [0.0_f64; LANES];
-            let mut code = [0_u8; LANES];
+            let (z, q, tt) = self.parts_chunk(x8);
             for i in 0..LANES {
-                let z = (x8[i] - self.xi) / self.omega;
-                o8[i] = self.ln_c - 0.5 * z * z;
-                a[i] = self.alpha * z;
-                t[i] = -a[i] / SQRT_2;
-                code[i] = log_phi_regime(a[i], t[i]);
-            }
-            let mut q = [0.0_f64; LANES];
-            let mut tt = [0.0_f64; LANES];
-            let mixed = code.iter().fold(0_u8, |m, &c| m | (c ^ code[0]));
-            if mixed == 0 {
-                log_phi_parts_chunk(code[0], &a, &t, &mut q, &mut tt);
-            } else {
-                for i in 0..LANES {
-                    (q[i], tt[i]) = log_phi_parts_in(code[i], a[i], t[i]);
-                }
-            }
-            for i in 0..LANES {
-                o8[i] += fast_ln_core(q[i]) - tt[i];
+                o8[i] = self.ln_c - 0.5 * z[i] * z[i] + (fast_ln_core(q[i]) - tt[i]);
             }
         }
         for (x, o) in xc.remainder().iter().zip(oc.into_remainder()) {
             *o = self.ln_pdf(*x);
+        }
+    }
+
+    /// The portable build of [`pdf_slice`](DensityKernel::pdf_slice), which
+    /// the dispatcher runs on hosts without AVX2. Public only so the
+    /// equivalence tests can pin both builds to the same bits.
+    #[doc(hidden)]
+    pub fn pdf_slice_portable(&self, xs: &[f64], out: &mut [f64]) {
+        self.pdf_chunks(xs, out);
+    }
+
+    /// Chunk body of `pdf_slice`: [`parts_chunk`], then one branch-free
+    /// `exp` loop ([`pdf_from_parts`]). Bit-identical to the scalar
+    /// [`pdf`](DensityKernel::pdf), which runs the same parts per point.
+    ///
+    /// [`parts_chunk`]: SkewNormalKernel::parts_chunk
+    #[inline(always)]
+    fn pdf_chunks(&self, xs: &[f64], out: &mut [f64]) {
+        assert_eq!(xs.len(), out.len(), "kernel slice length mismatch");
+        let mut xc = xs.chunks_exact(LANES);
+        let mut oc = out.chunks_exact_mut(LANES);
+        for (x8, o8) in xc.by_ref().zip(oc.by_ref()) {
+            let (z, q, tt) = self.parts_chunk(x8);
+            for i in 0..LANES {
+                o8[i] = pdf_from_parts(self.pdf_c, z[i], q[i], tt[i]);
+            }
+        }
+        for (x, o) in xc.remainder().iter().zip(oc.into_remainder()) {
+            *o = self.pdf(*x);
         }
     }
 }
@@ -282,6 +377,13 @@ impl SkewNormalKernel {
 #[target_feature(enable = "avx2")]
 fn skew_normal_ln_pdf_avx2(k: &SkewNormalKernel, xs: &[f64], out: &mut [f64]) {
     k.ln_pdf_chunks(xs, out);
+}
+
+/// The AVX2 build of [`SkewNormalKernel::pdf_slice`]'s chunk body.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn skew_normal_pdf_avx2(k: &SkewNormalKernel, xs: &[f64], out: &mut [f64]) {
+    k.pdf_chunks(xs, out);
 }
 
 // ---------------------------------------------------------------------------

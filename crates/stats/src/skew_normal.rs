@@ -11,9 +11,10 @@
 use rand::Rng;
 
 use crate::error::{ensure_finite, ensure_positive};
+use crate::kernels::skew_normal_pdf;
 use crate::moments::Moments;
 use crate::sampling::standard_normal;
-use crate::special::{log_norm_cdf, norm_cdf, norm_pdf, owen_t, INV_SQRT_2PI};
+use crate::special::{log_norm_cdf, norm_cdf, owen_t, INV_SQRT_2PI};
 use crate::traits::Distribution;
 use crate::StatsError;
 
@@ -161,10 +162,16 @@ impl std::fmt::Display for SkewNormal {
 }
 
 impl Distribution for SkewNormal {
+    /// `(2/ω)·φ(z)·Φ(αz)` as `(2/ω)·(1/√2π)·q·exp(−z²/2 − t²)` over the
+    /// `log Φ` parts `(q, t²)`: one `exp` per point, and the same parts as
+    /// the batched `pdf_batch`, so both return the same bits.
     #[inline]
     fn pdf(&self, x: f64) -> f64 {
-        let z = self.standardize(x);
-        2.0 / self.omega * norm_pdf(z) * norm_cdf(self.alpha * z)
+        skew_normal_pdf(
+            2.0 / self.omega * INV_SQRT_2PI,
+            self.standardize(x),
+            self.alpha,
+        )
     }
 
     // NOTE: the constant prefix `ln2 + ln(1/√2π) − ln ω` is re-derived per
@@ -321,6 +328,37 @@ mod tests {
             "var {var} vs {}",
             sn.variance()
         );
+    }
+
+    /// The one-`exp` pdf against its libm form `(2/ω)·φ(z)·Φ(αz)` on ±12ω.
+    /// Known limit: below `αz = −8` the shared asymptotic `log Φ` series
+    /// (truncated after its `x⁻⁸` term) carries ~8e-7 relative error, so
+    /// there only the absolute bound applies — `Φ(αz) < 7e-16` makes that
+    /// error invisible next to the peak.
+    #[test]
+    fn pdf_matches_the_libm_form() {
+        use crate::special::{norm_cdf, norm_pdf};
+        for alpha in [0.0, 0.5, -1.0, 3.0, -5.0, 20.0, 200.0, 2027.0, -2027.0] {
+            let sn = SkewNormal::new(0.3, 0.7, alpha).unwrap();
+            let reference = |x: f64| {
+                let z = sn.standardize(x);
+                2.0 / sn.omega() * norm_pdf(z) * norm_cdf(alpha * z)
+            };
+            let n = 24_001;
+            let xs: Vec<f64> = (0..n)
+                .map(|i| sn.xi() + sn.omega() * (-12.0 + 24.0 * i as f64 / (n - 1) as f64))
+                .collect();
+            let peak = xs.iter().map(|&x| reference(x)).fold(0.0, f64::max);
+            for &x in &xs {
+                let (got, want) = (sn.pdf(x), reference(x));
+                let abs = (got - want).abs() / peak;
+                assert!(abs <= 1e-15, "α={alpha} x={x}: {got} vs {want}");
+                if alpha * sn.standardize(x) > -8.0 {
+                    let rel = (got - want).abs() / want;
+                    assert!(rel <= 1e-14, "α={alpha} x={x}: {got} vs {want}, rel {rel}");
+                }
+            }
+        }
     }
 
     #[test]

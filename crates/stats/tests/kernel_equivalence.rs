@@ -16,7 +16,9 @@
 //! at run time. The `*_builds_*` tests below pin the portable build, the
 //! dispatched build and the scalar `ln_pdf` to the same bits on sorted,
 //! reversed and shuffled inputs, on chunks straddling every `log Φ` regime
-//! edge, and on NaN/±∞ lanes.
+//! edge, and on NaN/±∞ lanes. The `pdf_builds_*` tests pin the skew-normal
+//! `pdf_slice` the same way, and also where its exponent `−z²/2 − t²`
+//! crosses the −708 flush to zero.
 
 use lvf2_stats::kernels::{DensityKernel, SkewNormalKernel};
 use lvf2_stats::{Distribution, Lvf2, Mixture, Moments, Norm2, Normal, SkewNormal};
@@ -124,6 +126,36 @@ fn assert_builds_agree(sn: &SkewNormal, xs: &[f64]) -> Result<(), TestCaseError>
     Ok(())
 }
 
+/// Asserts the portable build, the dispatched build and the scalar `pdf`
+/// of `sn` agree bit-for-bit on `xs` (any two NaNs are equal).
+fn assert_pdf_builds_agree(sn: &SkewNormal, xs: &[f64]) -> Result<(), TestCaseError> {
+    let k = SkewNormalKernel::new(sn);
+    let mut portable = vec![0.0; xs.len()];
+    let mut dispatched = vec![0.0; xs.len()];
+    k.pdf_slice_portable(xs, &mut portable);
+    k.pdf_slice(xs, &mut dispatched);
+    for (i, &x) in xs.iter().enumerate() {
+        let s = sn.pdf(x);
+        prop_assert!(
+            same_bits(portable[i], s),
+            "portable pdf mismatch at i={} x={}: {} vs scalar {}",
+            i,
+            x,
+            portable[i],
+            s
+        );
+        prop_assert!(
+            same_bits(dispatched[i], s),
+            "dispatched pdf mismatch at i={} x={}: {} vs scalar {}",
+            i,
+            x,
+            dispatched[i],
+            s
+        );
+    }
+    Ok(())
+}
+
 /// Fisher–Yates shuffle driven by a 64-bit LCG, so a proptest seed picks
 /// the permutation.
 fn shuffle(xs: &mut [f64], mut seed: u64) {
@@ -151,6 +183,21 @@ proptest! {
         assert_builds_agree(&sn, &xs)?;
         shuffle(&mut xs, seed);
         assert_builds_agree(&sn, &xs)?;
+    }
+
+    #[test]
+    fn skew_normal_pdf_builds_agree_on_sorted_reversed_and_shuffled_input(
+        sn in skew_normal(),
+        zs in proptest::collection::vec(-12.0..12.0f64, 0..300),
+        seed in 0u64..1_000_000,
+    ) {
+        let mut xs = probe_points(sn.mean(), sn.std_dev(), &zs);
+        xs.sort_by(f64::total_cmp);
+        assert_pdf_builds_agree(&sn, &xs)?;
+        xs.reverse();
+        assert_pdf_builds_agree(&sn, &xs)?;
+        shuffle(&mut xs, seed);
+        assert_pdf_builds_agree(&sn, &xs)?;
     }
 
     #[test]
@@ -329,5 +376,100 @@ fn skew_normal_builds_agree_at_every_length_up_to_17() {
             .map(|i| sn.mean() + (-9.0 + 1.1 * i as f64) * sn.std_dev())
             .collect();
         assert_builds_agree(&sn, &xs).unwrap();
+    }
+}
+
+/// The pdf's builds across every `log Φ` regime edge, as the `ln_pdf` test
+/// above.
+#[test]
+fn skew_normal_pdf_builds_agree_across_regime_edges() {
+    let edges = regime_edge_points();
+    for alpha in [1.0, -1.0] {
+        let sn = SkewNormal::new(0.0, 1.0, alpha).expect("valid");
+        for offset in 0..8 {
+            assert_pdf_builds_agree(&sn, &edges[offset..]).unwrap();
+        }
+    }
+}
+
+/// The pdf's builds on NaN and ±∞ lanes, alone and mixed into chunks.
+#[test]
+fn skew_normal_pdf_builds_agree_on_special_lanes() {
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    for alpha in [3.0, -3.0, 0.0] {
+        let sn = SkewNormal::new(0.5, 0.2, alpha).expect("valid");
+        for &sp in &specials {
+            assert_pdf_builds_agree(&sn, &[sp; 17]).unwrap();
+            for lane in 0..9 {
+                let mut xs: Vec<f64> = (0..17).map(|i| -1.0 + 0.15 * i as f64).collect();
+                xs[lane] = sp;
+                xs[lane + 8] = sp;
+                assert_pdf_builds_agree(&sn, &xs).unwrap();
+            }
+        }
+    }
+}
+
+/// The pdf's builds at every slice length from empty to two chunks plus
+/// one.
+#[test]
+fn skew_normal_pdf_builds_agree_at_every_length_up_to_17() {
+    let sn = SkewNormal::from_moments(Moments::new(0.12, 0.015, 0.6)).expect("valid");
+    for len in 0..=17usize {
+        let xs: Vec<f64> = (0..len)
+            .map(|i| sn.mean() + (-9.0 + 1.1 * i as f64) * sn.std_dev())
+            .collect();
+        assert_pdf_builds_agree(&sn, &xs).unwrap();
+    }
+}
+
+/// The pdf's builds where its exponent `−z²/2 − t²` crosses −708, below
+/// which it flushes to zero, a few ulps and a few hundredths either side,
+/// sorted. With `ξ = 0, ω = 1` the exponent is `−x²/2` at `α = 0` (the
+/// `log Φ` body regime carries `t² = 0`) and `−x²/2 + log Φ(αx)` on the far
+/// short tail of `α = ±1` (the asymptotic regime carries `t² = −log Φ`).
+#[test]
+fn skew_normal_pdf_builds_agree_where_the_exponent_crosses_the_flush() {
+    use lvf2_stats::special::log_norm_cdf;
+    for (alpha, side) in [(0.0, 1.0), (0.0, -1.0), (1.0, -1.0), (-1.0, 1.0)] {
+        let sn = SkewNormal::new(0.0, 1.0, alpha).expect("valid");
+        let exponent = |x: f64| {
+            if alpha == 0.0 {
+                -0.5 * x * x
+            } else {
+                -0.5 * x * x + log_norm_cdf(alpha * x)
+            }
+        };
+        // Bisect |x| on [20, 40] for the first point past the flush.
+        let (mut inside, mut outside) = (20.0_f64, 40.0_f64);
+        for _ in 0..200 {
+            let mid = 0.5 * (inside + outside);
+            if exponent(side * mid) < -708.0 {
+                outside = mid;
+            } else {
+                inside = mid;
+            }
+        }
+        let edge = side * outside;
+        assert!(exponent(edge) < -708.0 && exponent(side * inside) >= -708.0);
+        let mut xs = vec![edge];
+        let (mut up, mut down) = (edge, edge);
+        for _ in 0..8 {
+            up = up.next_up();
+            down = down.next_down();
+            xs.extend([up, down]);
+        }
+        for d in [1e-9, 1e-3, 0.01] {
+            xs.extend([edge - d, edge + d]);
+        }
+        xs.sort_by(f64::total_cmp);
+        let pdfs: Vec<f64> = xs.iter().map(|&x| sn.pdf(x)).collect();
+        assert!(
+            pdfs.contains(&0.0) && pdfs.iter().any(|&p| p > 0.0),
+            "α={alpha}: {pdfs:?}"
+        );
+        for offset in 0..8 {
+            assert_pdf_builds_agree(&sn, &xs[offset..]).unwrap();
+        }
     }
 }
