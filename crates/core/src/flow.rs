@@ -120,18 +120,7 @@ impl FlowOptions {
                 format!("must be a positive finite σ, got {}", self.is_target_sigma),
             ));
         }
-        if self.fit.max_iterations == 0 {
-            return Err(Lvf2Error::invalid(
-                "fit.max_iterations",
-                "must be at least 1",
-            ));
-        }
-        if !self.fit.tolerance.is_finite() || self.fit.tolerance <= 0.0 {
-            return Err(Lvf2Error::invalid(
-                "fit.tolerance",
-                format!("must be positive and finite, got {}", self.fit.tolerance),
-            ));
-        }
+        validate_fit(&self.fit)?;
         let sigmas = [
             ("variation.sigma_vth_n", self.variation.sigma_vth_n),
             ("variation.sigma_vth_p", self.variation.sigma_vth_p),
@@ -163,6 +152,46 @@ impl FlowOptions {
             is: IsConfig::default().with_target_sigma(self.is_target_sigma),
         }
     }
+}
+
+/// Checks the fit settings that every job running the EM must respect:
+/// [`FlowOptions::validate`] runs it on `fit`, and a bare fit request runs
+/// it on its own config.
+///
+/// # Errors
+///
+/// [`Lvf2Error::InvalidConfig`] naming the first offending field.
+pub fn validate_fit(fit: &FitConfig) -> Result<(), Lvf2Error> {
+    if fit.max_iterations == 0 {
+        return Err(Lvf2Error::invalid(
+            "fit.max_iterations",
+            "must be at least 1",
+        ));
+    }
+    if !fit.tolerance.is_finite() || fit.tolerance <= 0.0 {
+        return Err(Lvf2Error::invalid(
+            "fit.tolerance",
+            format!("must be positive and finite, got {}", fit.tolerance),
+        ));
+    }
+    // The EM clamps λ to [min_weight, 1 − min_weight], which panics when the
+    // floor exceeds the ceiling.
+    if !(0.0..=0.5).contains(&fit.min_weight) {
+        return Err(Lvf2Error::invalid(
+            "fit.min_weight",
+            format!("must be in [0, 0.5], got {}", fit.min_weight),
+        ));
+    }
+    if !fit.min_sigma_ratio.is_finite() || fit.min_sigma_ratio < 0.0 {
+        return Err(Lvf2Error::invalid(
+            "fit.min_sigma_ratio",
+            format!(
+                "must be finite and non-negative, got {}",
+                fit.min_sigma_ratio
+            ),
+        ));
+    }
+    Ok(())
 }
 
 /// Validating builder for [`FlowOptions`]; see [`FlowOptions::builder`].

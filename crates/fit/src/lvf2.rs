@@ -15,11 +15,11 @@
 //!
 //! Every stage runs on a sorted copy of the samples, so a fit depends only on
 //! the multiset of its samples, and within each density sweep the skew
-//! argument `αz` is monotone, so nearly every 8-lane chunk of the kernel
-//! sits in a single `log Φ` regime and takes its vectorized path. Component densities come from the batched kernels of
-//! [`lvf2_stats::kernels`], and every buffer lives in a reusable
-//! [`FitWorkspace`] (zero steady-state allocations). `tests/golden_fits.rs`
-//! pins the exact fits.
+//! argument `αz` is monotone, so nearly every 8-lane chunk of
+//! [`SkewNormal::ln_pdf_batch`](Distribution::ln_pdf_batch) sits in a single
+//! `log Φ` regime and takes its vectorized path. Every buffer lives in a
+//! reusable [`FitWorkspace`] (zero steady-state allocations).
+//! `tests/golden_fits.rs` pins the exact fits.
 
 use lvf2_obs::{FitEvent, Obs};
 use lvf2_stats::{Distribution, Lvf2, Moments, SampleMoments, SkewNormal};

@@ -210,10 +210,11 @@ impl McEngine {
     /// returning each row with its log importance weight.
     ///
     /// Follows the `Plain` scheme's per-block RNG-stream contract (one
-    /// stream per [`RNG_BLOCK`] rows via [`chunk_seed`]), so the draw is
-    /// bit-identical at any thread count; a [nominal](IsProposal::is_nominal)
-    /// proposal consumes the RNG exactly like [`SamplingScheme::Plain`] and
-    /// reproduces its samples with weights ≡ 1.
+    /// stream per block of `RNG_BLOCK` rows via [`chunk_seed`]), so the draw
+    /// is bit-identical at any thread count; a
+    /// [nominal](IsProposal::is_nominal) proposal consumes the RNG exactly
+    /// like [`SamplingScheme::Plain`] and reproduces its samples with
+    /// weights ≡ 1.
     pub fn draw_proposal(&self, proposal: &IsProposal) -> Vec<(VariationSample, f64)> {
         let _span = Obs::current().span("mc.draw_is");
         let n = self.samples;

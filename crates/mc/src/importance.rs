@@ -49,7 +49,7 @@
 
 use rand::Rng;
 
-use crate::variation::{VariationSample, VariationSpace};
+use crate::variation::VariationSample;
 use lvf2_stats::sampling::standard_normal;
 use lvf2_stats::special::min_tail_probability;
 
@@ -272,13 +272,6 @@ pub struct IsSelection {
     pub pilot_calls: usize,
 }
 
-impl IsSelection {
-    /// The σ-relative threshold `pilot_mean + k·pilot_std`.
-    pub fn threshold_at(&self, k: f64) -> f64 {
-        self.pilot_mean + k * self.pilot_std
-    }
-}
-
 /// Selects a mixture proposal from pilot data: regresses delay against each
 /// standardized variation axis and shifts `target_sigma` units along the
 /// normalized covariance direction (both ways when `both_tails`), with the
@@ -468,14 +461,6 @@ impl McIsResult {
             floored,
         }
     }
-
-    /// Self-normalized weighted mass of `delays` in `(lo, hi]`-style bins is
-    /// provided by `lvf2_binning::BinSet::probabilities_from_weighted_samples`;
-    /// this helper exposes the matching normalized weight vector alongside
-    /// the delays for that call.
-    pub fn weighted_delays(&self) -> (&[f64], Vec<f64>) {
-        (&self.delays, self.normalized_weights())
-    }
 }
 
 /// Self-normalized weights from log weights, stable under large offsets.
@@ -490,12 +475,6 @@ pub fn normalized_weights(ln_weights: &[f64]) -> Vec<f64> {
         *wi /= sum;
     }
     w
-}
-
-/// Builds a [`VariationSample`] from a proposal draw — the standard-space
-/// affine map shared with every other sampling scheme.
-pub fn sample_from_z(z: &[f64; DIMS], space: &VariationSpace) -> VariationSample {
-    VariationSample::from_standard(z, space)
 }
 
 #[cfg(test)]

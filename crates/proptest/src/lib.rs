@@ -4,9 +4,9 @@
 //! The build environment for this workspace has no network access, so the
 //! registry `proptest` crate cannot be fetched. This crate implements the
 //! surface the workspace's property tests use — the [`proptest!`] macro,
-//! range/tuple/[`Just`]/[`collection::vec`] strategies, `prop_map`, and the
-//! `prop_assert*`/`prop_assume!` macros — with the same paths and syntax, so
-//! the test files compile unchanged.
+//! range/tuple/[`Just`](crate::strategy::Just)/[`collection::vec`]
+//! strategies, `prop_map`, and the `prop_assert*`/`prop_assume!` macros —
+//! with the same paths and syntax, so the test files compile unchanged.
 //!
 //! Differences from upstream, by design of the subset:
 //!
@@ -21,7 +21,7 @@
 
 use rand::rngs::StdRng;
 
-/// Strategy combinators and the [`Strategy`] trait.
+/// Strategy combinators and the [`Strategy`](crate::strategy::Strategy) trait.
 pub mod strategy {
     use rand::rngs::StdRng;
     use rand::{Rng, SampleUniform};
@@ -142,7 +142,7 @@ pub mod collection {
         }
     }
 
-    /// The result of [`vec`].
+    /// The result of [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

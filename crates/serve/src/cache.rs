@@ -8,8 +8,8 @@
 //! - the cell name and arc index (and the arc's derived MC seed),
 //! - the slew/load ladders of the grid,
 //! - the Monte-Carlo sample budget,
-//! - every field of the effective [`VariationSpace`],
-//! - every field of the [`FitConfig`],
+//! - every field of the effective [`VariationSpace`](lvf2::mc::VariationSpace),
+//! - every field of the [`FitConfig`](lvf2::fit::FitConfig),
 //! - for tail-yield keys: the sampler mode, σ target, and draw budget.
 //!
 //! **Parallelism** (thread count, chunk size) is deliberately **excluded**:

@@ -9,7 +9,7 @@
 //!
 //! A plan is a `;`-separated list of `key=value` pairs, read from the
 //! `LVF2_FAULTS` environment variable (or installed programmatically by
-//! tests via [`install`]):
+//! tests via `install` under the `fault-inject` feature):
 //!
 //! ```text
 //! seed=42;worker.panic=1;worker.panic.max=2;exec.hold=1;exec.hold.ms=40

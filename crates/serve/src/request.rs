@@ -14,7 +14,7 @@
 
 use lvf2::cells::{CellType, SlewLoadGrid};
 use lvf2::fit::{FitConfig, InitStrategy, MStep};
-use lvf2::flow::{FlowOptions, TailYieldRequest};
+use lvf2::flow::{validate_fit, FlowOptions, TailYieldRequest};
 use lvf2::mc::{McMode, VariationSpace};
 use lvf2::{Lvf2Error, ModelKind};
 use lvf2_obs::json::Value;
@@ -409,6 +409,7 @@ impl JobRequest {
                     Some(v) => decode_fit(v)?,
                     None => FitConfig::default(),
                 };
+                validate_fit(&config)?;
                 Ok(JobRequest::Fit(FitJob {
                     model,
                     samples,
@@ -489,6 +490,28 @@ mod tests {
         let err = decode(r#"{"type":"characterize","cells":["INV"],"options":{"samples":2}}"#)
             .unwrap_err();
         assert_eq!(err.kind(), "invalid_config");
+    }
+
+    #[test]
+    fn fit_floors_outside_their_range_are_invalid_config() {
+        // `min_weight` above 0.5 inverts the EM's λ clamp, which panics.
+        let err = decode(
+            r#"{"type":"characterize","cells":["INV"],"options":{"fit":{"min_weight":0.6}}}"#,
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), "invalid_config");
+        let err = decode(r#"{"type":"fit","samples":[1,2,3,4,5,6,7,8],"fit":{"min_weight":0.6}}"#)
+            .unwrap_err();
+        assert_eq!(err.kind(), "invalid_config");
+        let err = decode(
+            r#"{"type":"characterize","cells":["INV"],"options":{"fit":{"min_sigma_ratio":-1}}}"#,
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), "invalid_config");
+        assert!(decode(
+            r#"{"type":"characterize","cells":["INV"],"options":{"fit":{"min_weight":0.5}}}"#
+        )
+        .is_ok());
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //!   [`Norm2`] (ref \[10\]) and [`Lvf2`] (the paper's contribution, Eq. (4));
 //! - empirical tools: sample moments, [`Ecdf`], histogram and quantiles;
 //! - quadrature: fixed-order Gauss–Legendre and adaptive Simpson;
-//! - [`kernels`]: batched slice-in/slice-out density evaluation with hoisted
-//!   constants, bit-identical to the scalar [`Distribution`] methods (the EM
-//!   and SSTA hot paths are built on it).
+//! - one density API, [`Distribution`]: its `*_batch` methods are
+//!   bit-identical to the scalar ones. [`SkewNormal`] — the component the EM
+//!   and the SSTA max evaluate — overrides `ln_pdf_batch`/`pdf_batch` with a
+//!   vectorized chunk body, in a portable and an AVX2 build picked at run
+//!   time ([`kernels::avx2_enabled`]).
 //!
 //! # Example
 //!
@@ -66,9 +68,6 @@ pub use empirical::{
 };
 pub use error::StatsError;
 pub use esn::ExtendedSkewNormal;
-pub use kernels::{
-    DensityKernel, Lvf2Kernel, MixtureKernel, Norm2Kernel, NormalKernel, SkewNormalKernel,
-};
 pub use lesn::Lesn;
 pub use lognormal::LogNormal;
 pub use mixture::{Lvf2, Mixture, Norm2};

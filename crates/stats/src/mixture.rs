@@ -111,27 +111,6 @@ impl<D: Distribution> Mixture<D> {
         }
         (mean, m2, m3, m4)
     }
-
-    /// Component-major batched accumulation `out[i] = Σⱼ wⱼ·evalⱼ(xs[i])`,
-    /// processed in [`crate::special::LANES`]-wide chunks with a stack
-    /// scratch (no allocation). Per element the terms are added in component
-    /// order starting from `0.0` — exactly the order of the scalar
-    /// `iter().map(|(w, c)| w * c.f(x)).sum()`.
-    fn accumulate_batch(&self, xs: &[f64], out: &mut [f64], eval: impl Fn(&D, &[f64], &mut [f64])) {
-        assert_eq!(xs.len(), out.len(), "mixture batch: length mismatch");
-        const LANES: usize = crate::special::LANES;
-        let mut tmp = [0.0_f64; LANES];
-        for (x8, o8) in xs.chunks(LANES).zip(out.chunks_mut(LANES)) {
-            o8.fill(0.0);
-            for (w, c) in self.iter() {
-                let t = &mut tmp[..x8.len()];
-                eval(c, x8, t);
-                for (o, v) in o8.iter_mut().zip(t.iter()) {
-                    *o += w * *v;
-                }
-            }
-        }
-    }
 }
 
 /// The per-component contributions `(μ₂, μ₃, μ₄)` entering a mixture's
@@ -180,22 +159,6 @@ impl<D: Distribution> Distribution for Mixture<D> {
 
     fn cdf(&self, x: f64) -> f64 {
         self.iter().map(|(w, c)| w * c.cdf(x)).sum()
-    }
-
-    fn pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        self.accumulate_batch(xs, out, |c, chunk, tmp| c.pdf_batch(chunk, tmp));
-    }
-
-    fn cdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        self.accumulate_batch(xs, out, |c, chunk, tmp| c.cdf_batch(chunk, tmp));
-    }
-
-    fn ln_pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        // Matches the trait's default scalar `ln_pdf` (= `pdf(x).ln()`).
-        self.pdf_batch(xs, out);
-        for o in out.iter_mut() {
-            *o = o.ln();
-        }
     }
 
     fn mean(&self) -> f64 {
@@ -283,7 +246,7 @@ pub struct Lvf2 {
 }
 
 macro_rules! two_component_impl {
-    ($ty:ident, $comp:ty, $kernel:ident, $name:literal) => {
+    ($ty:ident, $comp:ty, $name:literal) => {
         impl $ty {
             /// Creates the two-component mixture with second-component weight
             /// `lambda` (the paper's λ).
@@ -365,21 +328,6 @@ macro_rules! two_component_impl {
                 (1.0 - self.lambda) * self.first.cdf(x) + self.lambda * self.second.cdf(x)
             }
 
-            fn ln_pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-                use crate::kernels::DensityKernel;
-                crate::kernels::$kernel::from(self).ln_pdf_slice(xs, out);
-            }
-
-            fn pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-                use crate::kernels::DensityKernel;
-                crate::kernels::$kernel::from(self).pdf_slice(xs, out);
-            }
-
-            fn cdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-                use crate::kernels::DensityKernel;
-                crate::kernels::$kernel::from(self).cdf_slice(xs, out);
-            }
-
             fn mean(&self) -> f64 {
                 self.central_moments().0
             }
@@ -419,8 +367,8 @@ macro_rules! two_component_impl {
     };
 }
 
-two_component_impl!(Norm2, Normal, Norm2Kernel, "Norm2");
-two_component_impl!(Lvf2, SkewNormal, Lvf2Kernel, "LVF2");
+two_component_impl!(Norm2, Normal, "Norm2");
+two_component_impl!(Lvf2, SkewNormal, "LVF2");
 
 impl Lvf2 {
     /// Embeds a plain LVF skew-normal as an LVF² with `λ = 0` (Eq. 10).

@@ -110,21 +110,6 @@ impl Distribution for Normal {
         norm_cdf(self.standardize(x))
     }
 
-    fn ln_pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        use crate::kernels::{DensityKernel, NormalKernel};
-        NormalKernel::new(self).ln_pdf_slice(xs, out);
-    }
-
-    fn pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        use crate::kernels::{DensityKernel, NormalKernel};
-        NormalKernel::new(self).pdf_slice(xs, out);
-    }
-
-    fn cdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        use crate::kernels::{DensityKernel, NormalKernel};
-        NormalKernel::new(self).cdf_slice(xs, out);
-    }
-
     fn mean(&self) -> f64 {
         self.mean
     }

@@ -11,10 +11,14 @@
 use rand::Rng;
 
 use crate::error::{ensure_finite, ensure_positive};
-use crate::kernels::skew_normal_pdf;
+use crate::fastmath::{fast_exp_core, fast_ln_core};
+use crate::kernels::LANES;
 use crate::moments::Moments;
 use crate::sampling::standard_normal;
-use crate::special::{log_norm_cdf, norm_cdf, owen_t, INV_SQRT_2PI};
+use crate::special::{
+    log_norm_cdf, log_phi_parts_chunk, log_phi_parts_in, log_phi_regime, norm_cdf, owen_t,
+    INV_SQRT_2PI, SQRT_2,
+};
 use crate::traits::Distribution;
 use crate::StatsError;
 
@@ -142,6 +146,37 @@ impl SkewNormal {
     pub fn standardize(&self, x: f64) -> f64 {
         (x - self.xi) / self.omega
     }
+
+    /// `ln 2 + ln(1/√2π) − ln ω`, the constant term of `ln_pdf`. The scalar
+    /// method and the batch both take it from here, so they associate it
+    /// the same way.
+    #[inline(always)]
+    fn ln_c(&self) -> f64 {
+        std::f64::consts::LN_2 + INV_SQRT_2PI.ln() - self.omega.ln()
+    }
+
+    /// `(2/ω)·(1/√2π)`, the constant factor of `pdf` (`1/ω` is never
+    /// substituted for `/ω`).
+    #[inline(always)]
+    fn pdf_c(&self) -> f64 {
+        2.0 / self.omega * INV_SQRT_2PI
+    }
+
+    /// The portable build of [`ln_pdf_batch`](Distribution::ln_pdf_batch),
+    /// which the dispatcher runs on hosts without AVX2. Public only so the
+    /// equivalence tests can pin both builds to the same bits.
+    #[doc(hidden)]
+    pub fn ln_pdf_batch_portable(&self, xs: &[f64], out: &mut [f64]) {
+        ln_pdf_chunks(self, xs, out);
+    }
+
+    /// The portable build of [`pdf_batch`](Distribution::pdf_batch), which
+    /// the dispatcher runs on hosts without AVX2. Public only so the
+    /// equivalence tests can pin both builds to the same bits.
+    #[doc(hidden)]
+    pub fn pdf_batch_portable(&self, xs: &[f64], out: &mut [f64]) {
+        pdf_chunks(self, xs, out);
+    }
 }
 
 impl Default for SkewNormal {
@@ -164,25 +199,18 @@ impl std::fmt::Display for SkewNormal {
 impl Distribution for SkewNormal {
     /// `(2/ω)·φ(z)·Φ(αz)` as `(2/ω)·(1/√2π)·q·exp(−z²/2 − t²)` over the
     /// `log Φ` parts `(q, t²)`: one `exp` per point, and the same parts as
-    /// the batched `pdf_batch`, so both return the same bits.
+    /// [`pdf_batch`](Distribution::pdf_batch), so both return the same bits.
     #[inline]
     fn pdf(&self, x: f64) -> f64 {
-        skew_normal_pdf(
-            2.0 / self.omega * INV_SQRT_2PI,
-            self.standardize(x),
-            self.alpha,
-        )
+        pdf_at(self.pdf_c(), self.standardize(x), self.alpha)
     }
 
-    // NOTE: the constant prefix `ln2 + ln(1/√2π) − ln ω` is re-derived per
-    // call here; the batched path (`ln_pdf_batch` → `SkewNormalKernel`)
-    // hoists it with the exact same association order, so both paths return
-    // bit-identical values (pinned by tests/kernel_equivalence.rs).
+    // The batch hoists `ln_c` out of its lane loop and adds the same terms
+    // in the same order, so both paths return the same bits (pinned by
+    // tests/kernel_equivalence.rs).
     #[inline]
     fn ln_pdf(&self, x: f64) -> f64 {
-        let z = self.standardize(x);
-        std::f64::consts::LN_2 + INV_SQRT_2PI.ln() - self.omega.ln() - 0.5 * z * z
-            + log_norm_cdf(self.alpha * z)
+        ln_pdf_at(self.ln_c(), self.standardize(x), self.alpha)
     }
 
     /// `F(x) = Φ(z) − 2·T(z, α)` with Owen's T.
@@ -192,19 +220,31 @@ impl Distribution for SkewNormal {
         (norm_cdf(z) - 2.0 * owen_t(z, self.alpha)).clamp(0.0, 1.0)
     }
 
+    /// Dispatches to the AVX2 build of the chunk body when the host has
+    /// AVX2 ([`avx2_enabled`](crate::kernels::avx2_enabled)), else to the
+    /// portable build. Both compile the same source with no FMA and no
+    /// reassociation, so they return the same bits.
     fn ln_pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        use crate::kernels::{DensityKernel, SkewNormalKernel};
-        SkewNormalKernel::new(self).ln_pdf_slice(xs, out);
+        #[cfg(target_arch = "x86_64")]
+        if crate::kernels::avx2_enabled() {
+            // SAFETY: the host supports AVX2 (checked just above), the only
+            // target feature `ln_pdf_avx2` enables.
+            return unsafe { ln_pdf_avx2(self, xs, out) };
+        }
+        ln_pdf_chunks(self, xs, out);
     }
 
+    /// Dispatches like [`ln_pdf_batch`](Distribution::ln_pdf_batch): the
+    /// AVX2 build of the chunk body when the host has AVX2, else the
+    /// portable build; same source, same bits.
     fn pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        use crate::kernels::{DensityKernel, SkewNormalKernel};
-        SkewNormalKernel::new(self).pdf_slice(xs, out);
-    }
-
-    fn cdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        use crate::kernels::{DensityKernel, SkewNormalKernel};
-        SkewNormalKernel::new(self).cdf_slice(xs, out);
+        #[cfg(target_arch = "x86_64")]
+        if crate::kernels::avx2_enabled() {
+            // SAFETY: the host supports AVX2 (checked just above), the only
+            // target feature `pdf_avx2` enables.
+            return unsafe { pdf_avx2(self, xs, out) };
+        }
+        pdf_chunks(self, xs, out);
     }
 
     fn mean(&self) -> f64 {
@@ -235,6 +275,142 @@ impl Distribution for SkewNormal {
         let z = d * u0.abs() + (1.0 - d * d).sqrt() * u1;
         self.xi + self.omega * z
     }
+}
+
+/// Exponents below this flush the pdf's `exp` to 0: the edge of
+/// [`fast_exp_core`]'s domain.
+const EXP_FLUSH: f64 = -708.0;
+
+/// `exp(e)` for an exponent `e ≤ 0`: [`fast_exp_core`] on its domain, 0
+/// below −708 (and for −∞), NaN for NaN. Branch-free: the core runs on the
+/// clamped exponent and selects pick the flush and the NaN.
+#[inline(always)]
+fn exp_nonpositive(e: f64) -> f64 {
+    let inside = e >= EXP_FLUSH;
+    let v = fast_exp_core(if inside { e } else { EXP_FLUSH });
+    if inside {
+        v
+    } else if e < EXP_FLUSH {
+        0.0
+    } else {
+        e
+    }
+}
+
+/// The pdf from the `log Φ(αz)` parts `(q, t²)`:
+/// `c·φ(z)·Φ(αz)·√(2π) = c·q·exp(−z²/2 − t²)` with `c = (2/ω)·(1/√2π)`, one
+/// `exp` per point and no `erfc` (`q` is a rational or asymptotic term).
+#[inline(always)]
+fn pdf_from_parts(c: f64, z: f64, q: f64, tt: f64) -> f64 {
+    c * q * exp_nonpositive(-0.5 * z * z - tt)
+}
+
+/// `ln f` at the standardized point `z`, `ln_c = ln 2 + ln(1/√2π) − ln ω`:
+/// the scalar `ln_pdf` and the remainder lanes of `ln_pdf_batch`.
+#[inline(always)]
+fn ln_pdf_at(ln_c: f64, z: f64, alpha: f64) -> f64 {
+    ln_c - 0.5 * z * z + log_norm_cdf(alpha * z)
+}
+
+/// The pdf `c·φ(z)·Φ(αz)·√(2π)` at the standardized point `z`,
+/// `c = (2/ω)·(1/√2π)`. The scalar `pdf` and the remainder lanes of
+/// `pdf_batch` call this, and the chunk body of `pdf_batch` runs the same
+/// parts, so every path returns the same bits.
+#[inline(always)]
+fn pdf_at(c: f64, z: f64, alpha: f64) -> f64 {
+    let a = alpha * z;
+    let t = -a / SQRT_2;
+    let (q, tt) = log_phi_parts_in(log_phi_regime(a, t), a, t);
+    pdf_from_parts(c, z, q, tt)
+}
+
+/// The `log Φ(αz)` parts of one chunk, shared by both chunk bodies: per
+/// lane the standardized `z` and `(q, t²)` with `log Φ(αz) = ln q − t²`.
+/// The first lane loop standardizes, computes `t = −αz/√2` once per lane
+/// and classifies the lane's `log Φ` regime ([`log_phi_regime`]). On sorted
+/// input `αz` is monotone, so nearly every chunk is regime-uniform and runs
+/// that regime's formula as one branch-free lane loop
+/// ([`log_phi_parts_chunk`]); a mixed chunk evaluates per lane.
+#[inline(always)]
+fn parts_chunk(sn: &SkewNormal, x8: &[f64]) -> ([f64; LANES], [f64; LANES], [f64; LANES]) {
+    let mut z = [0.0_f64; LANES];
+    let mut a = [0.0_f64; LANES];
+    let mut t = [0.0_f64; LANES];
+    let mut code = [0_u8; LANES];
+    for i in 0..LANES {
+        z[i] = (x8[i] - sn.xi) / sn.omega;
+        a[i] = sn.alpha * z[i];
+        t[i] = -a[i] / SQRT_2;
+        code[i] = log_phi_regime(a[i], t[i]);
+    }
+    let mut q = [0.0_f64; LANES];
+    let mut tt = [0.0_f64; LANES];
+    let mixed = code.iter().fold(0_u8, |m, &c| m | (c ^ code[0]));
+    if mixed == 0 {
+        log_phi_parts_chunk(code[0], &a, &t, &mut q, &mut tt);
+    } else {
+        for i in 0..LANES {
+            (q[i], tt[i]) = log_phi_parts_in(code[i], a[i], t[i]);
+        }
+    }
+    (z, q, tt)
+}
+
+/// Chunk body of `ln_pdf_batch`: [`parts_chunk`], then one lane loop. The
+/// regime formulas guarantee `q` sits in [`fast_ln_core`]'s positive-normal
+/// domain, so that loop is branch-free. Bit-identity with the scalar
+/// `ln_pdf` holds because the scalar `log_norm_cdf` is *defined* as
+/// `fast_ln(q) − t²` over the same regime formulas, and `fast_ln` ≡
+/// `fast_ln_core` on its domain.
+#[inline(always)]
+fn ln_pdf_chunks(sn: &SkewNormal, xs: &[f64], out: &mut [f64]) {
+    assert_eq!(xs.len(), out.len(), "ln_pdf_batch: length mismatch");
+    let ln_c = sn.ln_c();
+    let mut xc = xs.chunks_exact(LANES);
+    let mut oc = out.chunks_exact_mut(LANES);
+    for (x8, o8) in xc.by_ref().zip(oc.by_ref()) {
+        let (z, q, tt) = parts_chunk(sn, x8);
+        for i in 0..LANES {
+            o8[i] = ln_c - 0.5 * z[i] * z[i] + (fast_ln_core(q[i]) - tt[i]);
+        }
+    }
+    for (x, o) in xc.remainder().iter().zip(oc.into_remainder()) {
+        *o = ln_pdf_at(ln_c, sn.standardize(*x), sn.alpha);
+    }
+}
+
+/// Chunk body of `pdf_batch`: [`parts_chunk`], then one branch-free `exp`
+/// loop ([`pdf_from_parts`]). Bit-identical to the scalar `pdf`, which runs
+/// the same parts per point.
+#[inline(always)]
+fn pdf_chunks(sn: &SkewNormal, xs: &[f64], out: &mut [f64]) {
+    assert_eq!(xs.len(), out.len(), "pdf_batch: length mismatch");
+    let pdf_c = sn.pdf_c();
+    let mut xc = xs.chunks_exact(LANES);
+    let mut oc = out.chunks_exact_mut(LANES);
+    for (x8, o8) in xc.by_ref().zip(oc.by_ref()) {
+        let (z, q, tt) = parts_chunk(sn, x8);
+        for i in 0..LANES {
+            o8[i] = pdf_from_parts(pdf_c, z[i], q[i], tt[i]);
+        }
+    }
+    for (x, o) in xc.remainder().iter().zip(oc.into_remainder()) {
+        *o = pdf_at(pdf_c, sn.standardize(*x), sn.alpha);
+    }
+}
+
+/// The AVX2 build of [`ln_pdf_chunks`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn ln_pdf_avx2(sn: &SkewNormal, xs: &[f64], out: &mut [f64]) {
+    ln_pdf_chunks(sn, xs, out);
+}
+
+/// The AVX2 build of [`pdf_chunks`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn pdf_avx2(sn: &SkewNormal, xs: &[f64], out: &mut [f64]) {
+    pdf_chunks(sn, xs, out);
 }
 
 #[cfg(test)]

@@ -245,8 +245,10 @@ pub fn norm_cdf(x: f64) -> f64 {
 
 /// Natural log of the standard normal CDF, `log Φ(x)`, stable in the left tail.
 ///
-/// Defined as `fast_ln(q) − t²` over the decomposition of
-/// [`log_norm_cdf_parts`]; see there for the regime map. Every transcendental
+/// Defined as `fast_ln(q) − t²` over a per-regime decomposition
+/// `log Φ(x) = ln q − t²`: `q` is a rational term in `[~0.04, 1]` (exactly 1
+/// in the asymptotic regime `x ≤ −8`) and `t²` is carried apart, so the far
+/// left tail never passes through a subnormal `Φ`. Every transcendental
 /// inside is a vendored [`fastmath`](crate::fastmath) kernel (≤ 2 ulp from
 /// libm), so the function is deterministic across platforms and cheap enough
 /// to sit in the EM fitter's innermost loop.
@@ -437,81 +439,13 @@ fn log_phi_asymptotic(x: f64) -> (f64, f64) {
     (1.0, -v)
 }
 
-// ---------------------------------------------------------------------------
-// Batched slice primitives
-// ---------------------------------------------------------------------------
-
-/// Chunk width of the batched slice primitives ([`erf_slice`] and friends)
-/// and of the [`crate::kernels`] layer built on top of them.
+/// Chunk width of the batched lane loops: the `log Φ` regime chunks behind
+/// the skew-normal `ln_pdf_batch`/`pdf_batch`, and the EM E-step.
 ///
 /// Eight f64 lanes fill two AVX2 registers (or one AVX-512 register); the
-/// fixed-width inner loops below carry no cross-iteration dependency, so the
+/// fixed-width inner loops carry no cross-iteration dependency, so the
 /// compiler is free to unroll, interleave and auto-vectorize them.
 pub const LANES: usize = 8;
-
-/// Determinism contract shared by every `*_slice` primitive:
-///
-/// - `out[i]` is **bit-identical** to the matching scalar call on `xs[i]`,
-///   for every chunking — the lanes are pure elementwise maps with no
-///   cross-lane arithmetic, so the chunk width can never change a result.
-/// - Reductions are *not* performed here; callers that sum batched outputs
-///   own their accumulation order (the fit/SSTA layers accumulate strictly
-///   in index order, matching their scalar reference paths).
-macro_rules! slice_map {
-    ($(#[$doc:meta])* $name:ident, $scalar:expr) => {
-        $(#[$doc])*
-        ///
-        /// `out[i]` is bit-identical to the scalar function applied to
-        /// `xs[i]`; empty and non-multiple-of-[`LANES`] slices are handled.
-        ///
-        /// # Panics
-        ///
-        /// Panics when `xs.len() != out.len()`.
-        pub fn $name(xs: &[f64], out: &mut [f64]) {
-            assert_eq!(
-                xs.len(),
-                out.len(),
-                concat!(stringify!($name), ": input/output length mismatch"),
-            );
-            let mut xc = xs.chunks_exact(LANES);
-            let mut oc = out.chunks_exact_mut(LANES);
-            for (x8, o8) in xc.by_ref().zip(oc.by_ref()) {
-                for (x, o) in x8.iter().zip(o8.iter_mut()) {
-                    *o = $scalar(*x);
-                }
-            }
-            for (x, o) in xc.remainder().iter().zip(oc.into_remainder()) {
-                *o = $scalar(*x);
-            }
-        }
-    };
-}
-
-slice_map!(
-    /// Batched [`erf`] over a slice, [`LANES`] elements per chunk.
-    erf_slice,
-    erf
-);
-slice_map!(
-    /// Batched [`erfc`] over a slice, [`LANES`] elements per chunk.
-    erfc_slice,
-    erfc
-);
-slice_map!(
-    /// Batched [`norm_pdf`] over a slice, [`LANES`] elements per chunk.
-    norm_pdf_slice,
-    norm_pdf
-);
-slice_map!(
-    /// Batched [`norm_cdf`] over a slice, [`LANES`] elements per chunk.
-    norm_cdf_slice,
-    norm_cdf
-);
-slice_map!(
-    /// Batched [`log_norm_cdf`] over a slice, [`LANES`] elements per chunk.
-    log_norm_cdf_slice,
-    log_norm_cdf
-);
 
 /// Standard normal quantile `Φ⁻¹(p)` (Acklam's algorithm + one Halley step).
 ///
@@ -816,42 +750,6 @@ mod tests {
             let direct = norm_cdf(x).ln();
             assert!((log_norm_cdf(x) - direct).abs() < 1e-11, "x={x}");
         }
-    }
-
-    #[test]
-    fn slice_primitives_bit_identical_to_scalar() {
-        // Lengths straddling the chunk width, including empty and odd tails.
-        for n in [0usize, 1, 7, 8, 9, 16, 23] {
-            let xs: Vec<f64> = (0..n).map(|i| -9.0 + i as f64 * 1.3).collect();
-            let mut out = vec![f64::NAN; n];
-            erf_slice(&xs, &mut out);
-            for (x, o) in xs.iter().zip(&out) {
-                assert_eq!(o.to_bits(), erf(*x).to_bits());
-            }
-            erfc_slice(&xs, &mut out);
-            for (x, o) in xs.iter().zip(&out) {
-                assert_eq!(o.to_bits(), erfc(*x).to_bits());
-            }
-            norm_pdf_slice(&xs, &mut out);
-            for (x, o) in xs.iter().zip(&out) {
-                assert_eq!(o.to_bits(), norm_pdf(*x).to_bits());
-            }
-            norm_cdf_slice(&xs, &mut out);
-            for (x, o) in xs.iter().zip(&out) {
-                assert_eq!(o.to_bits(), norm_cdf(*x).to_bits());
-            }
-            log_norm_cdf_slice(&xs, &mut out);
-            for (x, o) in xs.iter().zip(&out) {
-                assert_eq!(o.to_bits(), log_norm_cdf(*x).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn slice_primitives_reject_mismatched_lengths() {
-        let mut out = [0.0; 3];
-        erf_slice(&[1.0, 2.0], &mut out);
     }
 
     #[test]

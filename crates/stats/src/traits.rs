@@ -39,8 +39,9 @@ pub trait Distribution {
 
     /// Batched [`ln_pdf`](Self::ln_pdf): `out[i] = ln f(xs[i])`.
     ///
-    /// The default loops over the scalar method. Implementations that
-    /// override this (via [`crate::kernels`]) **must** keep every `out[i]`
+    /// The default loops over the scalar method. An implementation that
+    /// overrides this (in this crate only [`SkewNormal`](crate::SkewNormal),
+    /// with a vectorized chunk body) **must** keep every `out[i]`
     /// bit-identical to the scalar call — batching is a pure layout/constant
     /// hoisting optimization, never a numerical one.
     ///

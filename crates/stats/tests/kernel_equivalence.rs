@@ -1,26 +1,24 @@
 //! Batched kernels vs scalar evaluation: **bitwise** equivalence.
 //!
-//! The contract of `lvf2_stats::kernels` (and of the `*_batch` methods on
-//! [`Distribution`]) is that batching is purely a memory-layout and
-//! constant-hoisting optimization: for every element, the batched path
-//! performs the same floating-point operations in the same order as the
-//! scalar method, so results are identical *to the bit*, not merely within
+//! The contract of the `*_batch` methods on [`Distribution`] is that
+//! batching is purely a memory-layout and constant-hoisting optimization:
+//! for every element, the batched path performs the same floating-point
+//! operations in the same order as the scalar method, so results are identical *to the bit*, not merely within
 //! tolerance. These property tests pin that over random parameters, random
 //! body/tail evaluation points (|z| up to 12 standard deviations, which
 //! exercises the far-tail `erfc` branches), and awkward slice lengths —
 //! empty, single-element, and odd lengths that leave a ragged remainder
 //! after the 8-lane chunking.
 //!
-//! The skew-normal `ln_pdf_slice` has two builds of one chunk body — a
+//! The skew-normal `ln_pdf_batch` has two builds of one chunk body — a
 //! portable one and, on x86_64 hosts with AVX2, a `target_feature` one picked
 //! at run time. The `*_builds_*` tests below pin the portable build, the
 //! dispatched build and the scalar `ln_pdf` to the same bits on sorted,
 //! reversed and shuffled inputs, on chunks straddling every `log Φ` regime
 //! edge, and on NaN/±∞ lanes. The `pdf_builds_*` tests pin the skew-normal
-//! `pdf_slice` the same way, and also where its exponent `−z²/2 − t²`
+//! `pdf_batch` the same way, and also where its exponent `−z²/2 − t²`
 //! crosses the −708 flush to zero.
 
-use lvf2_stats::kernels::{DensityKernel, SkewNormalKernel};
 use lvf2_stats::{Distribution, Lvf2, Mixture, Moments, Norm2, Normal, SkewNormal};
 use proptest::prelude::*;
 
@@ -99,11 +97,10 @@ fn same_bits(a: f64, b: f64) -> bool {
 /// Asserts the portable build, the dispatched build and the scalar
 /// `ln_pdf` of `sn` agree bit-for-bit on `xs`.
 fn assert_builds_agree(sn: &SkewNormal, xs: &[f64]) -> Result<(), TestCaseError> {
-    let k = SkewNormalKernel::new(sn);
     let mut portable = vec![0.0; xs.len()];
     let mut dispatched = vec![0.0; xs.len()];
-    k.ln_pdf_slice_portable(xs, &mut portable);
-    k.ln_pdf_slice(xs, &mut dispatched);
+    sn.ln_pdf_batch_portable(xs, &mut portable);
+    sn.ln_pdf_batch(xs, &mut dispatched);
     for (i, &x) in xs.iter().enumerate() {
         let s = sn.ln_pdf(x);
         prop_assert!(
@@ -129,11 +126,10 @@ fn assert_builds_agree(sn: &SkewNormal, xs: &[f64]) -> Result<(), TestCaseError>
 /// Asserts the portable build, the dispatched build and the scalar `pdf`
 /// of `sn` agree bit-for-bit on `xs` (any two NaNs are equal).
 fn assert_pdf_builds_agree(sn: &SkewNormal, xs: &[f64]) -> Result<(), TestCaseError> {
-    let k = SkewNormalKernel::new(sn);
     let mut portable = vec![0.0; xs.len()];
     let mut dispatched = vec![0.0; xs.len()];
-    k.pdf_slice_portable(xs, &mut portable);
-    k.pdf_slice(xs, &mut dispatched);
+    sn.pdf_batch_portable(xs, &mut portable);
+    sn.pdf_batch(xs, &mut dispatched);
     for (i, &x) in xs.iter().enumerate() {
         let s = sn.pdf(x);
         prop_assert!(
