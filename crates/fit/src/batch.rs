@@ -8,12 +8,11 @@
 //! same order, with the same first error on failure.
 
 use lvf2_parallel::Parallelism;
-use lvf2_stats::{Lvf2, Mixture, SkewNormal};
+use lvf2_stats::Lvf2;
 
 use crate::config::FitConfig;
 use crate::error::FitError;
 use crate::lvf2::fit_lvf2_with;
-use crate::mixture_em::fit_sn_mixture_with;
 use crate::report::Fitted;
 use crate::workspace::FitWorkspace;
 
@@ -68,32 +67,11 @@ where
     })
 }
 
-/// Fits a `k`-component skew-normal mixture to every sample set in
-/// `datasets` concurrently; ordering and error semantics as in
-/// [`fit_lvf2_batch`].
-///
-/// # Errors
-///
-/// Propagates the first [`FitError`] by dataset index.
-pub fn fit_sn_mixture_batch<S>(
-    datasets: &[S],
-    k: usize,
-    config: &FitConfig,
-    par: &Parallelism,
-) -> Result<Vec<Fitted<Mixture<SkewNormal>>>, FitError>
-where
-    S: AsRef<[f64]> + Sync,
-{
-    par.try_par_map_with(datasets.len(), FitWorkspace::new, |ws, i| {
-        fit_sn_mixture_with(datasets[i].as_ref(), k, config, ws)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{fit_lvf2, fit_sn_mixture};
-    use lvf2_stats::{Distribution, Moments};
+    use crate::fit_lvf2;
+    use lvf2_stats::{Distribution, Moments, SkewNormal};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -140,17 +118,6 @@ mod tests {
                 format!("{serial_err}"),
                 "threads={threads}"
             );
-        }
-    }
-
-    #[test]
-    fn mixture_batch_matches_serial() {
-        let sets = bimodal_sets(3, 400);
-        let cfg = FitConfig::fast();
-        let par = Parallelism::auto().with_threads(4);
-        let batch = fit_sn_mixture_batch(&sets, 2, &cfg, &par).unwrap();
-        for (set, fit) in sets.iter().zip(&batch) {
-            assert_eq!(fit.model, fit_sn_mixture(set, 2, &cfg).unwrap().model);
         }
     }
 }

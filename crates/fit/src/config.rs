@@ -63,13 +63,17 @@ pub struct FitConfig {
     pub init: InitStrategy,
     /// K-means iterations for initialization.
     pub kmeans_iterations: usize,
-    /// Floor for component weights; components whose weight collapses below
-    /// this are re-seeded away from degeneracy.
+    /// Floor for component weights. With two components λ is clamped into
+    /// `[min_weight, 1 − min_weight]`. With any other count each weight is
+    /// floored at `min_weight` and then all are renormalized, so a weight
+    /// can end slightly below the floor. No component is re-seeded.
     pub min_weight: f64,
     /// Floor for component standard deviations relative to the data σ.
     pub min_sigma_ratio: f64,
-    /// Random seed for tie-breaking/perturbations (fits are deterministic
-    /// given data + config).
+    /// Unread: no fitter draws random numbers, and fits are deterministic
+    /// given data + config. The daemon still hashes it into its cache key
+    /// (`fit.seed`), the field's only effect, until it is deleted (ROADMAP.md,
+    /// "Dead `FitConfig::seed`").
     pub seed: u64,
 }
 
@@ -131,7 +135,7 @@ impl FitConfig {
         self
     }
 
-    /// Sets the seed used for deterministic perturbations.
+    /// Sets [`FitConfig::seed`], which no fitter reads.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self

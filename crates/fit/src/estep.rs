@@ -1,9 +1,9 @@
 //! The EM E-step's log-sum-exp, without libm.
 //!
-//! Both EM loops — the two-component loop of [`crate::lvf2`] and the K-way
-//! loop of [`crate::mixture_em`] — turn per-component log-joints
-//! `lⱼ = ln wⱼ + ln fⱼ(x)` into responsibilities and a log-likelihood term
-//! the same way:
+//! The EM loop of `em`, which both [`crate::lvf2`] and [`crate::mixture_em`]
+//! run, turns per-component log-joints `lⱼ = ln wⱼ + ln fⱼ(x)` into
+//! responsibilities and a log-likelihood term the same way at every
+//! component count:
 //!
 //! - `m = maxⱼ lⱼ` and `eⱼ = exp(−(m − lⱼ))`, flushed to 0 once the gap
 //!   reaches [`GAP_FLUSH`];
@@ -13,8 +13,9 @@
 //! clamped into `[0, 708]` and `s` lies in `[1, K]`, inside both cores'
 //! domains, so a row has no branches and no calls. With two components the
 //! row reduces to `s = 1 + e` and `z₁ = 1/s` or `e/s`, which [`lse2`] maps
-//! over [`LANES`]-wide chunks; [`lse_row`] on a two-entry row gives the same
-//! bits, so the two loops share one numeric path.
+//! over [`LANES`]-wide chunks for the loop's k = 2 E-step; every other k
+//! runs [`lse_row`] per sample, which on a two-entry row would give the
+//! same bits.
 //!
 //! Flushing, rather than clamping the gap, matters: a clamped `exp(−708)`
 //! (≈ 3e-308) would hand the M-step weights whose products with the samples

@@ -46,6 +46,7 @@
 
 pub mod batch;
 pub mod config;
+mod em;
 pub mod error;
 mod estep;
 pub mod kmeans;
@@ -60,7 +61,7 @@ pub mod select;
 pub mod weighted;
 pub mod workspace;
 
-pub use batch::{fit_lvf2_batch, fit_sn_mixture_batch};
+pub use batch::fit_lvf2_batch;
 pub use config::{FitConfig, InitStrategy, MStep};
 pub use error::FitError;
 pub use kmeans::{kmeans1d, kmeans1d_with, KMeansResult};

@@ -3,28 +3,26 @@
 //! components").
 //!
 //! This is the general-K version of [`fit_lvf2`](crate::fit_lvf2): k-means
-//! initialization into K clusters, K-way log-space responsibilities (the same
-//! libm-free log-sum-exp as the two-component E-step), and the same
-//! per-component M-step (weighted MLE or weighted moments). Like `fit_lvf2`,
-//! it runs on a sorted copy of the samples, so the fit does not depend on
-//! their order.
+//! initialization into K clusters, then the same EM loop (`em`), which at
+//! k ≠ 2 takes K-way log-space responsibilities. Like `fit_lvf2`, it runs on
+//! a sorted copy of the samples, so the fit does not depend on their order.
 
-use lvf2_obs::{FitEvent, Obs};
-use lvf2_stats::{Distribution, Mixture, Moments, SampleMoments, SkewNormal};
+use lvf2_obs::Obs;
+use lvf2_stats::{Mixture, Moments, SampleMoments, SkewNormal};
 
 use crate::config::FitConfig;
-use crate::estep::lse_row;
+use crate::em::{cluster_skew_normal, gather_cluster, normalize, run_em, Restarts};
 use crate::kmeans::kmeans1d_with;
-use crate::lvf2::{gather_cluster, m_step_component};
-use crate::report::{FitReport, Fitted};
-use crate::workspace::{reset, FitWorkspace};
+use crate::report::Fitted;
+use crate::workspace::FitWorkspace;
 use crate::FitError;
 
 /// Fits a K-component skew-normal mixture by EM.
 ///
 /// `k = 1` degenerates to the LVF method-of-moments fit refined by MLE;
-/// `k = 2` is the LVF² model (see [`fit_lvf2`](crate::fit_lvf2), which adds
-/// a second initialization candidate); larger `k` captures distributions
+/// `k = 2` is the LVF² model, fitted by the same two-component EM as
+/// [`fit_lvf2`](crate::fit_lvf2) but from the k-means initialization only
+/// (`fit_lvf2` adds a second candidate); larger `k` captures distributions
 /// like the Multi-Peaks scenario exactly.
 ///
 /// # Errors
@@ -119,12 +117,7 @@ fn fit_sn_mixture_impl(
     for j in 0..k {
         gather_cluster(&mut ws.cluster, samples, ws.kmeans.assignments(), j);
         let comp = if ws.cluster.len() >= 4 {
-            let m = SampleMoments::from_samples(&ws.cluster)?;
-            SkewNormal::from_moments_clamped(Moments::new(
-                m.mean,
-                m.std_dev().max(sigma_floor),
-                m.skewness,
-            ))?
+            cluster_skew_normal(&ws.cluster, sigma_floor)?
         } else {
             // Empty-ish cluster: seed from the global fit near its center.
             degenerate_components += 1;
@@ -141,147 +134,26 @@ fn fit_sn_mixture_impl(
     }
     normalize(&mut weights);
 
-    // --- EM loop -------------------------------------------------------------
-    let collect_trajectory = obs.debug_data_enabled();
-    let (ll, iterations, converged, trajectory) = em_loop(
+    // One run, so nothing to abandon.
+    let run = run_em(
         samples,
         &mut comps,
         &mut weights,
         sigma_floor,
         config,
-        collect_trajectory,
+        obs.debug_data_enabled(),
+        f64::NEG_INFINITY,
         ws,
     );
-
-    // Canonical order by component mean.
-    let mut order: Vec<usize> = (0..k).collect();
-    order.sort_by(|&a, &b| {
-        comps[a]
-            .mean()
-            .partial_cmp(&comps[b].mean())
-            .expect("finite")
-    });
-    let comps: Vec<SkewNormal> = order.iter().map(|&j| comps[j]).collect();
-    let weights: Vec<f64> = order.iter().map(|&j| weights[j]).collect();
-
-    let model = Mixture::new(comps, weights)?;
-    obs.fit_event(&FitEvent {
-        fitter: "sn_mixture.em",
-        iterations,
-        iterations_all: iterations,
-        converged,
-        restarts: 1,
-        restarts_abandoned: 0,
-        log_likelihood: ll,
-        trajectory: &trajectory,
-        degenerate_components,
-    });
-    Ok(Fitted::new(
-        model,
-        FitReport {
-            log_likelihood: ll,
-            iterations,
-            converged,
-        },
-    ))
-}
-
-/// The K-way EM loop: per-component densities come from one
-/// [`Distribution::ln_pdf_batch`] sweep each, the responsibility matrix is
-/// one flat row-major buffer, and all scratch lives in the [`FitWorkspace`] —
-/// steady-state iterations allocate nothing.
-fn em_loop(
-    samples: &[f64],
-    comps: &mut [SkewNormal],
-    weights: &mut [f64],
-    sigma_floor: f64,
-    config: &FitConfig,
-    collect_trajectory: bool,
-    ws: &mut FitWorkspace,
-) -> (f64, usize, bool, Vec<f64>) {
-    let n = samples.len();
-    let k = comps.len();
-    let FitWorkspace {
-        resp_flat,
-        dens,
-        logw,
-        wj,
-        mstep,
-        ..
-    } = ws;
-    reset(resp_flat, n * k);
-    reset(dens, n * k);
-    reset(logw, k);
-    reset(wj, n);
-
-    let mut prev_ll = f64::NEG_INFINITY;
-    let mut ll = f64::NEG_INFINITY;
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut trajectory = Vec::new();
-    for it in 0..config.max_iterations {
-        iterations = it + 1;
-
-        // Component log-densities, one chunked sweep per component.
-        for (j, comp) in comps.iter().enumerate() {
-            comp.ln_pdf_batch(samples, &mut dens[j * n..(j + 1) * n]);
-        }
-
-        // E-step (K-way, log space). Each row of `resp_flat` holds the
-        // per-component log-joint transiently, then the responsibilities.
-        ll = 0.0;
-        for (lw, w) in logw.iter_mut().zip(weights.iter()) {
-            *lw = w.ln();
-        }
-        for i in 0..n {
-            let row = &mut resp_flat[i * k..(i + 1) * k];
-            for (j, slot) in row.iter_mut().enumerate() {
-                *slot = logw[j] + dens[j * n + i];
-            }
-            let log_tot = lse_row(row);
-            if log_tot.is_finite() {
-                ll += log_tot;
-            } else {
-                for r in row.iter_mut() {
-                    *r = 1.0 / k as f64;
-                }
-                ll += -745.0;
-            }
-        }
-
-        // Weight update + per-component M-step (gather buffer reused).
-        for j in 0..k {
-            for (slot, row) in wj.iter_mut().zip(resp_flat.chunks_exact(k)) {
-                *slot = row[j];
-            }
-            let total: f64 = wj.iter().sum();
-            weights[j] = (total / n as f64).max(config.min_weight);
-            comps[j] = m_step_component(samples, wj, comps[j], sigma_floor, config, it > 0, mstep);
-        }
-        normalize(weights);
-
-        if collect_trajectory {
-            trajectory.push(ll);
-        }
-        if (ll - prev_ll).abs() / (n as f64) < config.tolerance {
-            converged = true;
-            break;
-        }
-        prev_ll = ll;
-    }
-    (ll, iterations, converged, trajectory)
-}
-
-fn normalize(weights: &mut [f64]) {
-    let total: f64 = weights.iter().sum();
-    for w in weights.iter_mut() {
-        *w /= total;
-    }
+    let mut runs = Restarts::new();
+    runs.offer(Mixture::new(comps, weights)?, run);
+    Ok(runs.finish(obs, "sn_mixture.em", degenerate_components))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lvf2_stats::Distribution;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

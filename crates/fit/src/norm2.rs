@@ -13,8 +13,10 @@ use crate::FitError;
 /// Fits a two-Gaussian mixture to samples by EM.
 ///
 /// Initialization: k-means into two clusters, Gaussian per cluster, weight
-/// from cluster sizes. Components whose weight or σ collapses are re-seeded
-/// from the global moments, keeping the iteration alive.
+/// from cluster sizes; when a cluster has fewer than 2 samples, both
+/// components start from the global Gaussian shifted ∓σ/2. During EM, λ is
+/// clamped into `[min_weight, 1 − min_weight]` and each σ is floored at
+/// `min_sigma_ratio` times the data σ; no component is re-seeded.
 ///
 /// # Errors
 ///

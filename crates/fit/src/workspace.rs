@@ -1,8 +1,8 @@
 //! Reusable scratch memory for the EM hot path.
 //!
 //! A [`FitWorkspace`] owns every buffer the EM needs: the sorted copy of the
-//! samples that every stage of a fit runs on, the responsibility vectors,
-//! per-component log-density slices, the Nelder–Mead simplex, the k-means
+//! samples that every stage of a fit runs on, the log-density and
+//! responsibility matrices, the Nelder–Mead simplex, the k-means
 //! assignment arrays and the M-step compaction buffers. Allocate one
 //! per arc (or one per worker thread — see [`crate::fit_lvf2_batch`]) and
 //! every steady-state EM iteration runs without touching the heap:
@@ -49,25 +49,17 @@ pub struct FitWorkspace {
     /// Sorted copy of the caller's samples (length n); see
     /// [`FitWorkspace::with_sorted`].
     pub(crate) sorted: Vec<f64>,
-    /// Responsibilities of component 1 (length n).
-    pub(crate) resp1: Vec<f64>,
-    /// Responsibilities of component 2 (length n).
-    pub(crate) resp2: Vec<f64>,
-    /// Log-density of component 1 over the samples (length n).
-    pub(crate) logs1: Vec<f64>,
-    /// Log-density of component 2 over the samples (length n).
-    pub(crate) logs2: Vec<f64>,
-    /// Flattened n×k responsibility matrix for the K-way EM (row-major:
-    /// `resp_flat[i * k + j]`). Holds log-densities transiently inside the
-    /// E-step before being overwritten with responsibilities.
-    pub(crate) resp_flat: Vec<f64>,
-    /// Component-major k×n log-density matrix for the K-way EM
-    /// (`dens[j * n + i]`).
+    /// Component-major k×n log-density matrix (`dens[j * n + i]`).
     pub(crate) dens: Vec<f64>,
+    /// Component-major k×n responsibility matrix (`resp[j * n + i]`). At
+    /// k = 2 the second row holds each sample's log-normalizer until the
+    /// E-step overwrites it with `1 − z₁`.
+    pub(crate) resp: Vec<f64>,
     /// Per-component log-weights (length k).
     pub(crate) logw: Vec<f64>,
-    /// Per-component responsibility gather for the K-way M-step (length n).
-    pub(crate) wj: Vec<f64>,
+    /// One sample's log-joints, then responsibilities, in the K-way E-step
+    /// (length k).
+    pub(crate) row: Vec<f64>,
     /// Gather buffer for per-cluster samples during initialization.
     pub(crate) cluster: Vec<f64>,
     /// K-means scratch (satellite of the same allocation story).

@@ -13,7 +13,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use lvf2_fit::{fit_lvf2_with, kmeans1d_with, FitConfig, FitWorkspace, KMeansScratch};
+use lvf2_fit::{
+    fit_lvf2_with, fit_sn_mixture_with, kmeans1d_with, FitConfig, FitWorkspace, KMeansScratch,
+};
 use lvf2_stats::{Distribution, Lvf2, Moments, SkewNormal};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -142,4 +144,26 @@ fn fit_lvf2_steady_state_holds_across_dataset_sizes() {
             xs.len()
         );
     }
+}
+
+#[test]
+fn fit_sn_mixture_iterations_allocate_nothing() {
+    // The K-way path allocates its returned model per fit, so it is pinned
+    // per iteration instead: on a warm workspace, a fit capped at 5
+    // iterations and one capped at 40 make the same number of allocations.
+    let xs = bimodal_samples(900, 5);
+    let config = |cap| FitConfig::default().with_max_iterations(cap);
+    let mut ws = FitWorkspace::new();
+    fit_sn_mixture_with(&xs, 3, &config(40), &mut ws).unwrap();
+
+    let (short_allocs, short) =
+        count_allocs(|| fit_sn_mixture_with(&xs, 3, &config(5), &mut ws).unwrap());
+    let (long_allocs, long) =
+        count_allocs(|| fit_sn_mixture_with(&xs, 3, &config(40), &mut ws).unwrap());
+    assert_eq!(short.report.iterations, 5);
+    assert!(long.report.iterations > 5, "{:?}", long.report);
+    assert_eq!(
+        short_allocs, long_allocs,
+        "K-way EM iterations must not touch the heap (obs disabled)"
+    );
 }

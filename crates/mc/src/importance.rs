@@ -87,6 +87,14 @@ impl std::fmt::Display for McMode {
     }
 }
 
+/// Mixture weight of the defensive nominal component of a selected
+/// proposal: it bounds every importance weight by its reciprocal.
+const DEFENSIVE_WEIGHT: f64 = 0.25;
+
+/// σ-widening of the shifted components of a selected proposal (≥ 1 keeps
+/// the proposal heavier tailed than the target along the shift axis).
+const TAIL_SCALE: f64 = 1.25;
+
 /// Configuration of the importance-sampling run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IsConfig {
@@ -96,14 +104,6 @@ pub struct IsConfig {
     /// Pilot draws used to learn the shift direction (plain MC, counted in
     /// [`McIsResult::evaluator_calls`]).
     pub pilot_samples: usize,
-    /// Mixture weight of the defensive nominal component (bounds weights by
-    /// its reciprocal). Must be in `(0, 1)`.
-    pub defensive_weight: f64,
-    /// σ-widening of the shifted components (≥ 1 keeps the proposal heavier
-    /// tailed than the target along the shift axis).
-    pub scale: f64,
-    /// Cover both delay tails (`±shift` components) or only the slow one.
-    pub both_tails: bool,
 }
 
 impl Default for IsConfig {
@@ -111,9 +111,6 @@ impl Default for IsConfig {
         IsConfig {
             target_sigma: 3.0,
             pilot_samples: 512,
-            defensive_weight: 0.25,
-            scale: 1.25,
-            both_tails: true,
         }
     }
 }
@@ -274,7 +271,7 @@ pub struct IsSelection {
 
 /// Selects a mixture proposal from pilot data: regresses delay against each
 /// standardized variation axis and shifts `target_sigma` units along the
-/// normalized covariance direction (both ways when `both_tails`), with the
+/// normalized covariance direction, one component each way, with the
 /// defensive nominal component keeping weights bounded.
 ///
 /// Falls back to the nominal proposal when the pilot shows no usable
@@ -324,31 +321,30 @@ pub fn select_proposal(
         *dir = c / len;
     }
 
-    let mut components = vec![IsComponent {
-        weight: cfg.defensive_weight,
-        shift: [0.0; DIMS],
-        scale: 1.0,
-    }];
-    let tail_count = if cfg.both_tails { 2.0 } else { 1.0 };
-    let tail_weight = (1.0 - cfg.defensive_weight) / tail_count;
+    let tail_weight = (1.0 - DEFENSIVE_WEIGHT) / 2.0;
     let mut up = [0.0f64; DIMS];
     let mut down = [0.0f64; DIMS];
     for d in 0..DIMS {
         up[d] = cfg.target_sigma * direction[d];
         down[d] = -cfg.target_sigma * direction[d];
     }
-    components.push(IsComponent {
-        weight: tail_weight,
-        shift: up,
-        scale: cfg.scale,
-    });
-    if cfg.both_tails {
-        components.push(IsComponent {
+    let components = vec![
+        IsComponent {
+            weight: DEFENSIVE_WEIGHT,
+            shift: [0.0; DIMS],
+            scale: 1.0,
+        },
+        IsComponent {
+            weight: tail_weight,
+            shift: up,
+            scale: TAIL_SCALE,
+        },
+        IsComponent {
             weight: tail_weight,
             shift: down,
-            scale: cfg.scale,
-        });
-    }
+            scale: TAIL_SCALE,
+        },
+    ];
     IsSelection {
         proposal: IsProposal::new(components),
         pilot_mean: mean,
@@ -511,20 +507,19 @@ mod tests {
 
     #[test]
     fn defensive_component_bounds_weights() {
-        let cfg = IsConfig::default();
         let shifted = IsProposal::new(vec![
             IsComponent {
-                weight: cfg.defensive_weight,
+                weight: DEFENSIVE_WEIGHT,
                 shift: [0.0; DIMS],
                 scale: 1.0,
             },
             IsComponent {
-                weight: 1.0 - cfg.defensive_weight,
+                weight: 1.0 - DEFENSIVE_WEIGHT,
                 shift: [3.0, 0.0, 0.0, 0.0, 0.0],
                 scale: 1.25,
             },
         ]);
-        let bound = (1.0 / cfg.defensive_weight).ln() + 1e-12;
+        let bound = (1.0 / DEFENSIVE_WEIGHT).ln() + 1e-12;
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..500 {
             let z = shifted.sample_row(&mut rng);

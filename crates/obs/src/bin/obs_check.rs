@@ -51,7 +51,8 @@ gate the daemon's p99 job latency from BENCH_serve.json).
 --bench-compare gates CURRENT against BASELINE: fails on >X relative
 wall-time growth (--wall-tol, default 0.25) or >X accuracy degradation
 (--acc-tol, default 0.05) on any direction-gated quality key. Wall keys
-are judged only when both files record the same params.host_cores;
+(wall_ms*, *_ms, *_us, and the higher-better speedup*) take --wall-tol
+and are judged only when both files record the same params.host_cores;
 otherwise each prints a `refused` line naming both core counts. The full
 diff report goes to stdout and, when --diff-out is given, to that file.";
 

@@ -14,11 +14,14 @@
 //!   `_ms` or `_us` (e.g. `cold_ms`, `job_p99_ms`) — **lower is better**,
 //!   judged against the loose [`CompareConfig::wall_tol`] since they all
 //!   measure the wall clock;
+//! - keys starting with `speedup` — **higher is better**, and also wall
+//!   keys: a speedup is a ratio of two wall times, as noisy and as bound to
+//!   the host's core count as either (`speedup_1000` of the SSTA bench
+//!   spread from 1.30 to 2.01 over eight runs of one binary);
 //! - keys ending in `_err`, `_error`, `_rmse`, `_gap`, or `_cv2` — **lower
 //!   is better**, judged against [`CompareConfig::acc_tol`];
-//! - keys ending in `_x` or `_ratio`, starting with `speedup`, or
-//!   containing `ess` — **higher is better**, judged against
-//!   [`CompareConfig::acc_tol`];
+//! - keys ending in `_x` or `_ratio`, or containing `ess` — **higher is
+//!   better**, judged against [`CompareConfig::acc_tol`];
 //! - anything else is reported but never gates.
 //!
 //! A quality key present in the baseline but missing from the current run
@@ -60,13 +63,19 @@ enum Direction {
     Informational,
 }
 
-/// Wall-clock keys: judged with the loose [`CompareConfig::wall_tol`].
+/// Wall-clock keys, speedups included: judged with the loose
+/// [`CompareConfig::wall_tol`] and refused across core counts.
 fn is_wall_key(key: &str) -> bool {
-    key.starts_with("wall_ms") || key.ends_with("_ms") || key.ends_with("_us")
+    key.starts_with("wall_ms")
+        || key.ends_with("_ms")
+        || key.ends_with("_us")
+        || key.starts_with("speedup")
 }
 
 fn direction(key: &str) -> Direction {
-    if is_wall_key(key)
+    if key.starts_with("speedup") {
+        Direction::HigherBetter
+    } else if is_wall_key(key)
         || key.ends_with("_err")
         || key.ends_with("_error")
         || key.ends_with("_rmse")
@@ -74,11 +83,7 @@ fn direction(key: &str) -> Direction {
         || key.ends_with("_cv2")
     {
         Direction::LowerBetter
-    } else if key.ends_with("_x")
-        || key.ends_with("_ratio")
-        || key.starts_with("speedup")
-        || key.contains("ess")
-    {
+    } else if key.ends_with("_x") || key.ends_with("_ratio") || key.contains("ess") {
         Direction::HigherBetter
     } else {
         Direction::Informational
@@ -498,6 +503,47 @@ mod tests {
         assert!(compare_bench(&b, &c, &CompareConfig::default())
             .unwrap()
             .passed());
+    }
+
+    #[test]
+    fn speedup_keys_gate_like_wall_time_but_higher_better() {
+        let b = bench(100.0, r#""speedup_1000":2.0"#);
+        // −20%: within the 25% wall tolerance (the 5% accuracy one would
+        // fail it).
+        let noisy = compare_bench(
+            &b,
+            &bench(100.0, r#""speedup_1000":1.6"#),
+            &CompareConfig::default(),
+        )
+        .unwrap();
+        assert!(noisy.passed(), "{}", noisy.report());
+        // −40%: a real slowdown of the parallel path.
+        let bad = compare_bench(
+            &b,
+            &bench(100.0, r#""speedup_1000":1.2"#),
+            &CompareConfig::default(),
+        )
+        .unwrap();
+        assert!(!bad.passed());
+        assert!(bad.report().contains("speedup_1000"), "{}", bad.report());
+        // Faster is never a failure.
+        let up = compare_bench(
+            &b,
+            &bench(100.0, r#""speedup_1000":4.0"#),
+            &CompareConfig::default(),
+        )
+        .unwrap();
+        assert!(up.passed(), "{}", up.report());
+        // Across core counts the key is refused, not judged.
+        let base = bench_on(r#""host_cores":8"#, 100.0, r#""speedup":5.0"#);
+        let few = bench_on(r#""host_cores":2"#, 100.0, r#""speedup":1.1"#);
+        let cmp = compare_bench(&base, &few, &CompareConfig::default()).unwrap();
+        assert!(cmp.passed(), "{}", cmp.report());
+        let line = cmp.lines.iter().find(|l| l.starts_with("speedup")).unwrap();
+        assert!(
+            line.contains("refused") && line.contains("host_cores 8 (baseline) vs 2 (current)"),
+            "{line}"
+        );
     }
 
     #[test]
