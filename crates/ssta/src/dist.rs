@@ -12,7 +12,7 @@
 
 use lvf2_fit::{fit_lesn_moments, FitConfig};
 use lvf2_stats::moments::FourMoments;
-use lvf2_stats::{Distribution, Lesn, Lvf2, Moments, Norm2, Normal, SkewNormal};
+use lvf2_stats::{Distribution, Lesn, Lvf2, Moments, Norm2, Normal, SkewNormal, StatsError};
 use rand::Rng;
 
 use crate::error::SstaError;
@@ -431,10 +431,26 @@ fn component_to_sn(c: &MomentComponent) -> Result<SkewNormal, SstaError> {
     ))?)
 }
 
+/// The two reduced components in ascending mean order. A non-finite mean
+/// (the moments of an overflowed sum or max) is an error: it has no order.
+fn by_mean(comps: &[MomentComponent]) -> Result<[&MomentComponent; 2], SstaError> {
+    let [a, b] = comps else {
+        unreachable!("mixtures reduce to two components")
+    };
+    for c in [a, b] {
+        if !c.mean.is_finite() {
+            return Err(StatsError::NonFinite {
+                name: "component mean",
+                value: c.mean,
+            }
+            .into());
+        }
+    }
+    Ok(if b.mean < a.mean { [b, a] } else { [a, b] })
+}
+
 fn components_to_norm2(comps: &[MomentComponent]) -> Result<Norm2, SstaError> {
-    debug_assert_eq!(comps.len(), 2);
-    let mut comps: Vec<&MomentComponent> = comps.iter().collect();
-    comps.sort_by(|a, b| a.mean.partial_cmp(&b.mean).expect("finite means"));
+    let comps = by_mean(comps)?;
     let total = comps[0].w + comps[1].w;
     let first = Normal::new(comps[0].mean, comps[0].var.sqrt())?;
     let second = Normal::new(comps[1].mean, comps[1].var.sqrt())?;
@@ -442,9 +458,7 @@ fn components_to_norm2(comps: &[MomentComponent]) -> Result<Norm2, SstaError> {
 }
 
 fn components_to_lvf2(comps: &[MomentComponent]) -> Result<Lvf2, SstaError> {
-    debug_assert_eq!(comps.len(), 2);
-    let mut comps: Vec<&MomentComponent> = comps.iter().collect();
-    comps.sort_by(|a, b| a.mean.partial_cmp(&b.mean).expect("finite means"));
+    let comps = by_mean(comps)?;
     let total = comps[0].w + comps[1].w;
     let first = component_to_sn(comps[0])?;
     let second = component_to_sn(comps[1])?;
@@ -473,6 +487,37 @@ mod tests {
         let s = a.sum(&b).unwrap();
         assert!((s.mean() - 3.0).abs() < 1e-12);
         assert!((s.variance() - 0.25).abs() < 1e-12);
+    }
+
+    /// Operands the constructors accept whose max overflows: the kernel's
+    /// moments come back non-finite, and the refit reports that instead of
+    /// panicking while it orders the components by mean.
+    #[test]
+    fn non_finite_max_moments_are_a_typed_error() {
+        let non_finite = |r: Result<TimingDist, SstaError>| {
+            assert!(
+                matches!(r, Err(SstaError::Stats(StatsError::NonFinite { .. }))),
+                "{r:?}"
+            );
+        };
+        let lvf2 = |lambda, a, b| TimingDist::Lvf2(Lvf2::new(lambda, a, b).unwrap());
+        let big = SkewNormal::new(1e307, 1e306, 1.0).unwrap();
+        let bigger = SkewNormal::new(9e306, 1e306, -1.0).unwrap();
+        let pair = lvf2(0.5, big, bigger);
+        non_finite(pair.max(&pair));
+        let tiny = lvf2(0.5, SkewNormal::new(1.0, 1e-310, 1.0).unwrap(), big);
+        non_finite(tiny.max(&tiny));
+        // Clark's max of two Gaussians ±1e308 apart: ν overflows and the
+        // mean is NaN.
+        let wide = TimingDist::Norm2(
+            Norm2::new(
+                0.5,
+                Normal::new(-1e308, 1e307).unwrap(),
+                Normal::new(1e308, 1e307).unwrap(),
+            )
+            .unwrap(),
+        );
+        non_finite(wide.max(&wide));
     }
 
     #[test]

@@ -1110,7 +1110,9 @@ mod tests {
         // (SUM's P_viol, ~2e-14 relative), LVF not at all. And once more
         // when the skew-normal pdf moved to one `exp` over the `log Φ`
         // parts: LVF² moved by at most 27 ulp (SUM's P_viol, 3.8e-15
-        // relative), LVF not at all.
+        // relative), LVF not at all. And once more when the max's uniform
+        // grid went from 48 panels to 8: at most 40 ulp (SUM's LVF P_viol,
+        // 5.9e-15 relative), every mean within 3 ulp.
         const BEFORE: Pins = [
             (
                 "SUM",
@@ -1128,14 +1130,14 @@ mod tests {
         const PINNED: Pins = [
             (
                 "SUM",
-                [0x3fb2a7d8be9dc57e, 0x3f89593a823ed5ec, 0x3f38259204382cf0],
-                [0x3fb2adb3ce873e80, 0x3f894d1d10c986b1, 0x3f1916e0aaaedd33],
+                [0x3fb2a7d8be9dc57e, 0x3f89593a823ed5e6, 0x3f38259204382cc8],
+                [0x3fb2adb3ce873e7f, 0x3f894d1d10c986ab, 0x3f1916e0aaaedd54],
                 0x0000000000000000,
             ),
             (
                 "COUT",
-                [0x3fbac2533a3c3554, 0x3f8bb99b3ef8f4a1, 0x3fc06865c99e9a8c],
-                [0x3fbac7e78a07d9eb, 0x3f8baa593e9e9373, 0x3fc0791a81dc167f],
+                [0x3fbac2533a3c3554, 0x3f8bb99b3ef8f49c, 0x3fc06865c99e9a79],
+                [0x3fbac7e78a07d9e8, 0x3f8baa593e9e9377, 0x3fc0791a81dc1672],
                 0x3fc0a3d70a3d70a4,
             ),
         ];

@@ -9,24 +9,34 @@
 //!
 //! - a pair whose ±10σ ranges do not overlap is *dominated* and returns the
 //!   larger component's exact moments;
-//! - the remaining pairs share one 48-panel Gauss–Legendre (GL32) grid over
+//! - the remaining pairs share one 8-panel Gauss–Legendre (GL32) grid over
 //!   the union of their ranges;
 //! - each live component's pdf is evaluated once on that grid, and its CDF
 //!   on the same nodes is the running integral of that pdf — the spectral
 //!   integration matrix of [`gl32`], seeded by one exact `cdf` at the grid's
 //!   left end — so no skew-normal CDF (Owen's T) is evaluated per node;
+//! - a component whose ±10σ range spans fewer than five panels has that
+//!   range cut into panels of its own, so a narrow mode or a near-delta
+//!   operand (a clock edge, the virtual source) is resolved rather than
+//!   missed;
 //! - a panel on which some component's pdf is not resolved by its degree-31
 //!   interpolant (the two highest Legendre coefficients are not negligible:
 //!   the near-vertical edge of a skew-normal at the skewness limit) is
 //!   bisected until it is, or, at the bisection limit, takes exact
-//!   `cdf_batch` values for that component and re-anchors its running CDF;
-//! - a component whose ±10σ range spans fewer than five panels has that
-//!   range cut into panels of its own, so a near-delta operand (a clock
-//!   edge, the virtual source) is resolved rather than missed.
+//!   `cdf_batch` values for that component and re-anchors its running CDF.
+//!
+//! The grid is coarse because the last two rules, not the panel count,
+//! carry the accuracy: every live component is sampled on at least five
+//! panels with σ ≥ h/4 — the uniform ones or its own — where its spectral
+//! CDF is exact to a few ulps, and any panel its interpolant still misses
+//! is bisected. More uniform panels buy no accuracy (the error against an
+//! exact-CDF reference is the same at 8 panels as at 48); fewer make the
+//! narrow rule fire on most components and cost more than they save.
 //!
 //! The moments are accumulated panel by panel, about the grid's midpoint, so
-//! the scratch is a few 32-node arrays per component. Gaussian operands need
-//! none of this: [`clark_max_correlated`] at `ρ = 0` is exact for them.
+//! the scratch is a few 32-node arrays per component and the panel
+//! bookkeeping is two fixed arrays: nothing is allocated. Gaussian operands
+//! need none of this: [`clark_max_correlated`] at `ρ = 0` is exact for them.
 
 use lvf2_stats::quad::{gl32, Gl32};
 use lvf2_stats::Distribution;
@@ -37,7 +47,7 @@ pub type CentralMoments = (f64, f64, f64, f64);
 /// Half-width, in standard deviations, of a component's integration range.
 const SPAN_SIGMAS: f64 = 10.0;
 /// Uniform panels over the union of the live pairs' ranges.
-const PANELS: usize = 48;
+const PANELS: usize = 8;
 /// A component whose range spans fewer uniform panels gets panels of its
 /// own. At five panels (σ = h/4) a Gaussian's spectral CDF is exact to a few
 /// ulps; at 1.5 panels it is off by ~1e-6.
@@ -50,13 +60,24 @@ const UNRESOLVED: f64 = 1e-13;
 /// Times an unresolved panel is halved before its unresolved components
 /// fall back to exact CDFs (the panel is then `h/4096` wide).
 const MAX_BISECTIONS: u32 = 12;
+/// Most components one call takes: an LVF² pair, 2 + 2.
+const MAX_COMPONENTS: usize = 4;
+/// Panel breaks of one call: the uniform grid's and every narrow
+/// component's own.
+const MAX_BREAKS: usize = PANELS + 1 + MAX_COMPONENTS * (NARROW_PANELS + 1);
+/// Depth of the bisection stack: one pending right half per level, plus the
+/// panel in hand.
+const MAX_PENDING: usize = MAX_BISECTIONS as usize + 1;
 
 /// Central moments of `max(Aᵢ, Bⱼ)` for independent `Aᵢ ~ a[i]`,
 /// `Bⱼ ~ b[j]`, for every pair `(i, j)`.
 ///
 /// Accuracy: against an exact-CDF quadrature on the same range the mean is
-/// within ~1e-12 σ and the variance within ~1e-10 relative (the moments are
+/// within ~1e-13 σ and the variance within ~1e-11 relative (the moments are
 /// truncated to the ±10σ ranges, as every grid in this crate is).
+///
+/// Takes at most four components in all (`NA + NB ≤ 4`, an LVF² pair); more
+/// fail to compile.
 ///
 /// # Example
 ///
@@ -108,6 +129,12 @@ fn max_moments_body<D: Distribution, const NA: usize, const NB: usize>(
     a: [&D; NA],
     b: [&D; NB],
 ) -> [[CentralMoments; NB]; NA] {
+    const {
+        assert!(
+            NA + NB <= MAX_COMPONENTS,
+            "max_moments takes at most 4 components"
+        );
+    }
     let ra = a.map(span);
     let rb = b.map(span);
     let mut out = [[(0.0, 0.0, 0.0, 0.0); NB]; NA];
@@ -135,62 +162,79 @@ fn max_moments_body<D: Distribution, const NA: usize, const NB: usize>(
     let mut sb: [Sweep; NB] =
         std::array::from_fn(|j| Sweep::new(b[j], live.iter().any(|r| r[j]), lo));
 
-    let mut breaks: Vec<f64> = (0..=PANELS).map(|p| lo + p as f64 * h).collect();
+    let mut breaks = [0.0f64; MAX_BREAKS];
+    let mut n = 0;
+    for p in 0..=PANELS {
+        breaks[n] = lo + p as f64 * h;
+        n += 1;
+    }
     for (s, r) in sa.iter().zip(&ra).chain(sb.iter().zip(&rb)) {
         if s.live && r.1 - r.0 < NARROW_SPAN_PANELS * h {
             let step = (r.1 - r.0) / NARROW_PANELS as f64;
-            breaks.extend((0..=NARROW_PANELS).map(|k| r.0 + k as f64 * step));
+            for k in 0..=NARROW_PANELS {
+                breaks[n] = r.0 + k as f64 * step;
+                n += 1;
+            }
         }
     }
-    breaks.sort_by(f64::total_cmp);
-    // Panels still to integrate, leftmost on top: (start, end, bisections).
-    let mut todo: Vec<(f64, f64, u32)> = breaks.windows(2).rev().map(|p| (p[0], p[1], 0)).collect();
+    let breaks = &mut breaks[..n];
+    breaks.sort_unstable_by(f64::total_cmp);
 
     let rule = gl32();
     let center = 0.5 * (lo + hi);
     // Raw moments of `max − center`, per pair.
     let mut raw = [[[0.0f64; 4]; NB]; NA];
-    while let Some((start, end, depth)) = todo.pop() {
-        let hw = 0.5 * (end - start);
-        if !(hw > 0.0) {
-            continue;
-        }
-        let c = 0.5 * (end + start);
-        let t: [f64; 32] = std::array::from_fn(|k| c + hw * rule.nodes[k]);
-        let mut resolved = true;
-        for (s, d) in sa.iter_mut().zip(a) {
-            resolved &= s.sample(d, &t, hw, rule);
-        }
-        for (s, d) in sb.iter_mut().zip(b) {
-            resolved &= s.sample(d, &t, hw, rule);
-        }
-        if !resolved && depth < MAX_BISECTIONS {
-            todo.push((c, end, depth + 1));
-            todo.push((start, c, depth + 1));
-            continue;
-        }
-        for (s, d) in sa.iter_mut().zip(a) {
-            s.integrate(d, &t, end, hw, rule);
-        }
-        for (s, d) in sb.iter_mut().zip(b) {
-            s.integrate(d, &t, end, hw, rule);
-        }
-        for i in 0..NA {
-            for j in 0..NB {
-                if !live[i][j] {
-                    continue;
-                }
-                let (x, y) = (&sa[i], &sb[j]);
-                let m = &mut raw[i][j];
-                for (k, (&tk, &w)) in t.iter().zip(&rule.weights).enumerate() {
-                    let g = x.pdf[k] * y.cdf[k] + x.cdf[k] * y.pdf[k];
-                    let u = tk - center;
-                    let wg = w * hw * g;
-                    let (u2, wgu) = (u * u, wg * u);
-                    m[0] += wgu;
-                    m[1] += wgu * u;
-                    m[2] += wgu * u2;
-                    m[3] += wg * u2 * u2;
+    for panel in breaks.windows(2) {
+        // Parts of this panel still to integrate, leftmost on top:
+        // (start, end, bisections).
+        let mut todo = [(0.0, 0.0, 0); MAX_PENDING];
+        todo[0] = (panel[0], panel[1], 0);
+        let mut pending = 1;
+        while pending > 0 {
+            pending -= 1;
+            let (start, end, depth) = todo[pending];
+            let hw = 0.5 * (end - start);
+            if !(hw > 0.0) {
+                continue;
+            }
+            let c = 0.5 * (end + start);
+            let t: [f64; 32] = std::array::from_fn(|k| c + hw * rule.nodes[k]);
+            let mut resolved = true;
+            for (s, d) in sa.iter_mut().zip(a) {
+                resolved &= s.sample(d, &t, hw, rule);
+            }
+            for (s, d) in sb.iter_mut().zip(b) {
+                resolved &= s.sample(d, &t, hw, rule);
+            }
+            if !resolved && depth < MAX_BISECTIONS {
+                todo[pending] = (c, end, depth + 1);
+                todo[pending + 1] = (start, c, depth + 1);
+                pending += 2;
+                continue;
+            }
+            for (s, d) in sa.iter_mut().zip(a) {
+                s.integrate(d, &t, end, hw, rule);
+            }
+            for (s, d) in sb.iter_mut().zip(b) {
+                s.integrate(d, &t, end, hw, rule);
+            }
+            for i in 0..NA {
+                for j in 0..NB {
+                    if !live[i][j] {
+                        continue;
+                    }
+                    let (x, y) = (&sa[i], &sb[j]);
+                    let m = &mut raw[i][j];
+                    for (k, (&tk, &w)) in t.iter().zip(&rule.weights).enumerate() {
+                        let g = x.pdf[k] * y.cdf[k] + x.cdf[k] * y.pdf[k];
+                        let u = tk - center;
+                        let wg = w * hw * g;
+                        let (u2, wgu) = (u * u, wg * u);
+                        m[0] += wgu;
+                        m[1] += wgu * u;
+                        m[2] += wgu * u2;
+                        m[3] += wg * u2 * u2;
+                    }
                 }
             }
         }
@@ -321,8 +365,8 @@ mod tests {
     /// The exact-CDF reference: central moments of `max(X, Y)` by GL32 with
     /// the operands' own `pdf`/`cdf` at every node, on `panels` uniform
     /// panels of the pair's ±10σ hull plus panels between the `extra` break
-    /// points, accumulated about the hull's midpoint. At 48 panels and no
-    /// extras it is a fixed per-pair grid of the kernel's own resolution.
+    /// points, accumulated about the hull's midpoint. At [`PANELS`] panels
+    /// and no extras it is the kernel's uniform grid without its guards.
     fn exact_cdf_moments<A: Distribution, B: Distribution>(
         a: &A,
         b: &B,
@@ -418,7 +462,7 @@ mod tests {
     #[test]
     fn skewness_limit_edge_is_bisected() {
         // α ≈ 2027 is where fitted skew-normals clamp: the pdf jumps from 0
-        // to its peak within ω/α ≈ 6e-6 of ξ, 1/700 of a grid panel.
+        // to its peak within ω/α ≈ 6e-6 of ξ, 1/3000 of a grid panel.
         let x = SkewNormal::new(0.0217, 0.00425, 3.26).unwrap();
         let y = SkewNormal::new(0.0184, 0.0123, 2027.0).unwrap();
         let [[got]] = max_moments([&x], [&y]);

@@ -233,7 +233,8 @@ mod tests {
         // spectral CDFs moved the bits but not the values: every slack's
         // (mean, σ) under the old max must still hold to 1e-9 relative.
         // It was 0x69e0_2dbe_8124_746d until the skew-normal pdf moved to
-        // one `exp` over the `log Φ` parts.
+        // one `exp` over the `log Φ` parts, and 0x8190_97aa_ff20_59b1 until
+        // the max's uniform grid went from 48 panels to 8.
         const BEFORE: [(f64, f64); 30] = [
             (-0.054439515497355845, 0.0063971330365614),
             (-0.09337339564834787, 0.00762064658894459),
@@ -294,6 +295,6 @@ mod tests {
             .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
                 (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
             });
-        assert_eq!(digest, 0x8190_97aa_ff20_59b1);
+        assert_eq!(digest, 0x425a_271b_f8b4_d174);
     }
 }
