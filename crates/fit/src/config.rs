@@ -51,8 +51,10 @@ pub enum InitStrategy {
 pub struct FitConfig {
     /// Maximum EM iterations.
     pub max_iterations: usize,
-    /// Convergence: stop when the mean log-likelihood improves by less than
-    /// this between iterations.
+    /// Convergence: EM stops when the mean log-likelihood moves by less
+    /// than this between iterations. It also stops, converged, after three
+    /// iterations in a row that fail to beat the best log-likelihood so far,
+    /// and in either case returns that best iterate.
     pub tolerance: f64,
     /// Function-evaluation budget for each inner Nelder–Mead (M-step, LESN
     /// moment matching).
@@ -96,6 +98,12 @@ impl Default for FitConfig {
 impl FitConfig {
     /// A cheaper configuration for large sweeps (library characterization):
     /// weighted-moments M-step and a tighter iteration budget.
+    ///
+    /// The moments M-step does not raise the log-likelihood on every
+    /// iteration, so these runs rarely meet `tolerance`. Most of them end on
+    /// the three-iterations-without-a-new-best rule instead, at about half
+    /// the EM iterations of running to the cap of 40, and return their best
+    /// iterate.
     pub fn fast() -> Self {
         FitConfig {
             max_iterations: 40,

@@ -8,7 +8,8 @@ pub struct FitReport {
     pub log_likelihood: f64,
     /// Outer iterations spent (EM iterations, or optimizer iterations).
     pub iterations: usize,
-    /// Whether the tolerance was met within the iteration budget.
+    /// Whether a stop rule fired within the iteration budget: for EM, the
+    /// tolerance or three iterations in a row without a new best.
     pub converged: bool,
 }
 

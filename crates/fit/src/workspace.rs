@@ -12,6 +12,8 @@
 //! never shrunk, so a workspace reused across a characterization sweep
 //! settles after the first fit.
 
+use lvf2_stats::SkewNormal;
+
 /// Scratch buffers for one fitting thread.
 ///
 /// Construct with [`FitWorkspace::new`] (no allocation happens until the
@@ -60,6 +62,13 @@ pub struct FitWorkspace {
     /// One sample's log-joints, then responsibilities, in the K-way E-step
     /// (length k).
     pub(crate) row: Vec<f64>,
+    /// The weights entering the current EM iteration, before its E-step
+    /// updates them (length k).
+    pub(crate) entry_weights: Vec<f64>,
+    /// The weights of the best-scoring EM iterate so far (length k).
+    pub(crate) best_weights: Vec<f64>,
+    /// The components of the best-scoring EM iterate so far (length k).
+    pub(crate) best_comps: Vec<SkewNormal>,
     /// Gather buffer for per-cluster samples during initialization.
     pub(crate) cluster: Vec<f64>,
     /// K-means scratch (satellite of the same allocation story).

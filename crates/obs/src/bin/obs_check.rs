@@ -8,6 +8,7 @@
 //! obs-check --bench-compare bench/baselines/BENCH_mc.json BENCH_mc.json \
 //!           --wall-tol 0.25 --acc-tol 0.05 --diff-out bench_diff.txt
 //! obs-check --counter-at-least metrics.json serve.cache.hits 1
+//! obs-check --counter-at-most BENCH_serve.json fit.em.nonconverged 30
 //! obs-check --quantile-at-most BENCH_serve.json time.serve.job.characterize.us p99 2e6
 //! ```
 //!
@@ -34,19 +35,22 @@ USAGE:
 Validates --metrics-json output, --trace-json JSONL streams, and
 BENCH_*.json summaries against the schemas in docs/OBSERVABILITY.md.
 
---counter-at-least validates FILE as lvf2-metrics-v1 and fails unless its
-counter NAME is present with a value of at least MIN (CI uses this to gate
-the daemon's cache hit-rate).
+--counter-at-least, --counter-at-most and --quantile-at-most read FILE as
+either an lvf2-metrics-v1 document or an lvf2-bench-v1 summary with
+embedded metrics (a bench run with --metrics).
+
+--counter-at-least fails unless counter NAME is present with a value of
+at least MIN (CI uses this to gate the daemon's cache hit-rate).
 
 --counter-at-most is the inverse gate: it fails when counter NAME exceeds
 MAX. An absent counter passes with MAX 0 semantics — the chaos-smoke job
 uses `--counter-at-most metrics.json cells.mc_samples 0` to prove a warm
-restart from the persistent store performs zero Monte-Carlo draws.
+restart from the persistent store performs zero Monte-Carlo draws, and
+the serve-smoke job bounds `fit.em.nonconverged` in BENCH_serve.json.
 
---quantile-at-most reads histogram METRIC from FILE — either an
-lvf2-metrics-v1 document or an lvf2-bench-v1 summary with embedded metrics
-— and fails when its P (p50|p95|p99) quantile exceeds MAX (CI uses this to
-gate the daemon's p99 job latency from BENCH_serve.json).
+--quantile-at-most fails when histogram METRIC's P (p50|p95|p99) quantile
+exceeds MAX (CI uses this to gate the daemon's p99 job latency from
+BENCH_serve.json).
 
 --bench-compare gates CURRENT against BASELINE: fails on >X relative
 wall-time growth (--wall-tol, default 0.25) or >X accuracy degradation
@@ -91,10 +95,34 @@ fn load_bench(path: &str) -> Result<json::Value, String> {
     Ok(doc)
 }
 
-fn check_counter(path: &str, name: &str, min: u64) -> Result<String, String> {
+/// The metrics document in `path`: an lvf2-metrics-v1 document itself, or
+/// the one embedded in an lvf2-bench-v1 summary.
+fn load_metrics(path: &str) -> Result<json::Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    schema::check_metrics(&doc).map_err(|e| format!("{path}: {e}"))?;
+    match doc.get("schema").and_then(json::Value::as_str) {
+        Some(schema::METRICS_SCHEMA) => {
+            schema::check_metrics(&doc).map_err(|e| format!("{path}: {e}"))?;
+            Ok(doc)
+        }
+        Some(schema::BENCH_SCHEMA) => {
+            schema::check_bench(&doc).map_err(|e| format!("{path}: {e}"))?;
+            let metrics = doc.get("metrics").cloned().unwrap_or(json::Value::Null);
+            if metrics.as_obj().is_none_or(<[_]>::is_empty) {
+                return Err(format!(
+                    "{path}: bench summary has no embedded metrics (run the bench with --metrics)"
+                ));
+            }
+            Ok(metrics)
+        }
+        other => Err(format!(
+            "{path}: schema {other:?} is neither metrics nor bench"
+        )),
+    }
+}
+
+fn check_counter(path: &str, name: &str, min: u64) -> Result<String, String> {
+    let doc = load_metrics(path)?;
     let value = doc
         .get("counters")
         .and_then(|c| c.get(name))
@@ -109,9 +137,7 @@ fn check_counter(path: &str, name: &str, min: u64) -> Result<String, String> {
 }
 
 fn check_counter_at_most(path: &str, name: &str, max: u64) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    schema::check_metrics(&doc).map_err(|e| format!("{path}: {e}"))?;
+    let doc = load_metrics(path)?;
     // A counter that never incremented may be absent entirely; that is the
     // strongest possible pass for an upper bound.
     let value = doc
@@ -131,30 +157,7 @@ fn check_quantile(path: &str, metric: &str, p: &str, max: f64) -> Result<String,
     if !matches!(p, "p50" | "p95" | "p99") {
         return Err(format!("quantile `{p}` is not one of p50, p95, p99"));
     }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    // Accept either a metrics document or a bench summary carrying one.
-    let metrics = match doc.get("schema").and_then(json::Value::as_str) {
-        Some(schema::METRICS_SCHEMA) => {
-            schema::check_metrics(&doc).map_err(|e| format!("{path}: {e}"))?;
-            doc
-        }
-        Some(schema::BENCH_SCHEMA) => {
-            schema::check_bench(&doc).map_err(|e| format!("{path}: {e}"))?;
-            let metrics = doc.get("metrics").cloned().unwrap_or(json::Value::Null);
-            if metrics.as_obj().is_none_or(<[_]>::is_empty) {
-                return Err(format!(
-                    "{path}: bench summary has no embedded metrics (run the bench with --metrics)"
-                ));
-            }
-            metrics
-        }
-        other => {
-            return Err(format!(
-                "{path}: schema {other:?} is neither metrics nor bench"
-            ))
-        }
-    };
+    let metrics = load_metrics(path)?;
     let value = metrics
         .get("histograms")
         .and_then(|h| h.get(metric))
