@@ -13,7 +13,8 @@ pub enum MStep {
     /// Numerical weighted maximum likelihood (the paper's M-step).
     #[default]
     WeightedMle,
-    /// Responsibility-weighted method of moments (fast approximation).
+    /// Responsibility-weighted method of moments (fast approximation). From
+    /// 512 samples on, EM runs on pair means of the sorted samples.
     WeightedMoments,
 }
 
@@ -97,7 +98,10 @@ impl Default for FitConfig {
 
 impl FitConfig {
     /// A cheaper configuration for large sweeps (library characterization):
-    /// weighted-moments M-step and a tighter iteration budget.
+    /// weighted-moments M-step and a tighter iteration budget. From 512
+    /// samples on, the moments M-step fits the means of adjacent pairs of
+    /// the sorted samples and the result is scored on every sample
+    /// ([`crate::lvf2`], "Pair sweep").
     ///
     /// The moments M-step does not raise the log-likelihood on every
     /// iteration, so these runs rarely meet `tolerance`. Most of them end on

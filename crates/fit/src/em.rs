@@ -2,21 +2,32 @@
 //! paper's §3.2 loop, which [`fit_lvf2`](crate::fit_lvf2) runs at k = 2 and
 //! [`fit_sn_mixture`](crate::fit_sn_mixture) at any k (§3.3).
 //!
-//! One iteration sweeps each component's log-density over the sorted
-//! samples into the component-major `dens` buffer (`dens[j*n + i]`), turns
-//! them into responsibilities `resp[j*n + i]` and new weights (E-step,
+//! EM runs on the fit's [`EmPoints`]: the sorted samples, or, under the
+//! moments M-step from 512 samples on, the means of adjacent pairs of them,
+//! each point carrying the number of samples it stands for (its count `cᵢ`;
+//! 1 for every sample of an ungrouped fit). One iteration sweeps each
+//! component's log-density over the points into the component-major `dens`
+//! buffer (`dens[j*m + i]`, m points), turns them into count-weighted
+//! responsibilities `resp[j*m + i] = cᵢ·zᵢⱼ` and new weights (E-step,
 //! Eq. 6), then re-fits each component to its responsibilities (M-step,
 //! Eq. 9). The E-step depends on the component count:
 //!
 //! - at k = 2 the state is λ, the second component's weight: the chunked
 //!   [`lse2`] kernel gives `z₁`, the second responsibility is `1 − z₁`, and
-//!   λ = Σ(1 − z₁)/n is clamped into `[min_weight, 1 − min_weight]`;
-//! - at any other k each sample's row goes through [`lse_row`], and each
+//!   λ = Σcᵢ(1 − z₁ᵢ)/n over the n samples is clamped into
+//!   `[min_weight, 1 − min_weight]`;
+//! - at any other k each point's row goes through [`lse_row`], and each
 //!   weight is floored at `min_weight` and then all are renormalized.
 //!
-//! Each iteration's log-likelihood scores the iterate that enters it, and
-//! the run returns the best iterate it scored. It stops when the
-//! log-likelihood settles or stops improving (see [`run_em`]).
+//! Each iteration's log-likelihood, Σcᵢ ln f(xᵢ) over the points, scores
+//! the iterate that enters it, and the run returns the best iterate it
+//! scored. It stops when the log-likelihood settles or stops improving (see
+//! [`run_em`]). Counts of 1 multiply exactly, so an ungrouped fit computes
+//! what a per-sample loop would, bit for bit. On pair means the
+//! log-likelihood, and the per-iteration `trajectory` telemetry, are those
+//! of the pair means; the fitter then scores the winning model once on
+//! every sample ([`sample_log_likelihood`]), so the reported
+//! log-likelihood is always the model's exact one.
 //!
 //! Every buffer lives in the [`FitWorkspace`], so steady-state iterations
 //! allocate nothing.
@@ -29,7 +40,7 @@ use crate::estep::{lse2, lse_row};
 use crate::nelder_mead::{nelder_mead_with, NelderMeadOptions};
 use crate::report::{FitReport, Fitted};
 use crate::weighted::weighted_moments;
-use crate::workspace::{reset, FitWorkspace, MStepScratch};
+use crate::workspace::{reset, EmPoints, FitWorkspace, MStepScratch};
 use crate::FitError;
 
 /// Largest |α| the M-step will consider; beyond this the skew-normal shape is
@@ -55,16 +66,16 @@ pub(crate) struct EmRun {
     /// The returned iterate's log-likelihood, iterations run and the
     /// convergence flag.
     pub(crate) report: FitReport,
-    /// Per-iteration log-likelihood (empty unless requested).
+    /// Per-iteration log-likelihood of the points (empty unless requested).
     pub(crate) trajectory: Vec<f64>,
     /// `true` when the run was cut short as trailing `abandon_below`.
     pub(crate) abandoned: bool,
 }
 
-/// Runs EM on `samples` (sorted ascending) from the initialization in
-/// `comps` and `weights`, and leaves in them the iterate with the highest
-/// measured log-likelihood, in canonical order: ascending component mean,
-/// ties in place. At k = 2 only `weights[1]` (λ) is read; on return
+/// Runs EM on `points` from the initialization in `comps` and `weights`,
+/// and leaves in them the iterate with the highest measured
+/// log-likelihood, in canonical order: ascending component mean, ties in
+/// place. At k = 2 only `weights[1]` (λ) is read; on return
 /// `weights` is `[1 − λ, λ]`.
 ///
 /// Iteration t measures the log-likelihood of the components that enter it
@@ -77,6 +88,7 @@ pub(crate) struct EmRun {
 /// run the last M-step and score its output with one more density sweep
 /// and E-step, not counted as an iteration, so a weighted-MLE run, whose
 /// log-likelihood does not fall, returns the output of its last M-step.
+/// The tolerance divides by the sample count, grouped or not.
 ///
 /// `collect_trajectory` records the per-iteration log-likelihood.
 /// `abandon_below` is the log-likelihood of the best finished restart: a run
@@ -84,7 +96,7 @@ pub(crate) struct EmRun {
 /// Pass `f64::NEG_INFINITY` to never abandon.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_em(
-    samples: &[f64],
+    points: EmPoints<'_>,
     comps: &mut [SkewNormal],
     weights: &mut [f64],
     sigma_floor: f64,
@@ -93,7 +105,10 @@ pub(crate) fn run_em(
     abandon_below: f64,
     ws: &mut FitWorkspace,
 ) -> EmRun {
-    let n = samples.len();
+    let n = points.xs.len();
+    let counts = points.counts;
+    let n_samples: f64 = counts.iter().sum();
+    let min_weight = config.min_weight;
     let k = comps.len();
     assert_eq!(weights.len(), k, "one weight per component");
     let FitWorkspace {
@@ -113,7 +128,7 @@ pub(crate) fn run_em(
     reset(row, k);
     reset(entry_weights, k);
     if k == 2 {
-        set_lambda(weights, weights[1], config.min_weight);
+        set_lambda(weights, weights[1], min_weight);
     }
     // The initialization stands as the best iterate until one is scored.
     best_comps.clear();
@@ -133,13 +148,15 @@ pub(crate) fn run_em(
     for it in 0..=config.max_iterations {
         // Component log-densities, one chunked sweep per component.
         for (comp, d) in comps.iter().zip(dens.chunks_exact_mut(n)) {
-            comp.ln_pdf_batch(samples, d);
+            comp.ln_pdf_batch(points.xs, d);
         }
         entry_weights.copy_from_slice(weights);
         let ll = if k == 2 {
-            e_step2(weights, dens, resp, config.min_weight)
+            e_step2(weights, dens, resp, counts, n_samples, min_weight)
         } else {
-            e_step(weights, dens, resp, logw, row, config.min_weight)
+            e_step(
+                weights, dens, resp, logw, row, counts, n_samples, min_weight,
+            )
         };
         // `ll` scores `comps` (not yet re-fitted) under `entry_weights`.
         if ll > best_ll {
@@ -162,7 +179,7 @@ pub(crate) fn run_em(
             converged = true;
             break;
         }
-        converged = (ll - prev_ll).abs() / (n as f64) < config.tolerance;
+        converged = (ll - prev_ll).abs() / n_samples < config.tolerance;
         // Restart pruning: a later restart is abandoned once even
         // `best + remaining × last_gain` cannot close the gap to the best of
         // a restart that already finished better. Under the weighted-MLE
@@ -180,7 +197,7 @@ pub(crate) fn run_em(
             break;
         }
         for (comp, r) in comps.iter_mut().zip(resp.chunks_exact(n)) {
-            *comp = m_step_component(samples, r, *comp, sigma_floor, config, it > 0, mstep);
+            *comp = m_step_component(points.xs, r, *comp, sigma_floor, config, it > 0, mstep);
         }
         scoring_last = converged || iterations == config.max_iterations;
         prev_ll = ll;
@@ -207,42 +224,54 @@ fn set_lambda(weights: &mut [f64], lambda: f64, min_weight: f64) {
 }
 
 /// Two-component E-step: the chunked log-sum-exp writes `z₁` to the first
-/// half of `resp` and each sample's log-normalizer to the second. One pass
-/// in sample order then accumulates the log-likelihood and Σz₁ and
-/// overwrites the second half with `1 − z₁`. Updates λ and returns the
-/// log-likelihood.
-fn e_step2(weights: &mut [f64], dens: &[f64], resp: &mut [f64], min_weight: f64) -> f64 {
+/// half of `resp` and each point's log-normalizer to the second. One pass
+/// in point order then accumulates the count-weighted log-likelihood and
+/// Σcz₁ and leaves `c·z₁` and `c·(1 − z₁)` in the two halves. Updates λ and
+/// returns the log-likelihood.
+fn e_step2(
+    weights: &mut [f64],
+    dens: &[f64],
+    resp: &mut [f64],
+    counts: &[f64],
+    n_samples: f64,
+    min_weight: f64,
+) -> f64 {
     let n = dens.len() / 2;
     let (logs1, logs2) = dens.split_at(n);
     let (resp1, resp2) = resp.split_at_mut(n);
     lse2(weights[0].ln(), weights[1].ln(), logs1, logs2, resp1, resp2);
     let mut ll = 0.0;
     let mut w1 = 0.0;
-    for (z1, z2) in resp1.iter_mut().zip(resp2.iter_mut()) {
+    for ((z1, z2), &c) in resp1.iter_mut().zip(resp2.iter_mut()).zip(counts) {
         let log_tot = *z2;
-        if log_tot.is_finite() {
-            ll += log_tot;
+        let z = if log_tot.is_finite() {
+            ll += c * log_tot;
+            *z1
         } else {
-            *z1 = 0.5;
-            ll += -745.0; // both densities underflowed; cap the penalty
-        }
-        w1 += *z1;
-        *z2 = 1.0 - *z1;
+            ll += c * -745.0; // both densities underflowed; cap the penalty
+            0.5
+        };
+        w1 += c * z;
+        *z1 = c * z;
+        *z2 = c * (1.0 - z);
     }
-    set_lambda(weights, (n as f64 - w1) / n as f64, min_weight);
+    set_lambda(weights, (n_samples - w1) / n_samples, min_weight);
     ll
 }
 
-/// K-way E-step: each sample's log-joints go through `row` and
+/// K-way E-step: each point's log-joints go through `row` and
 /// [`lse_row`]; a row with no finite log-joint gets uniform
-/// responsibilities. Updates the weights (floored, then renormalized) and
-/// returns the log-likelihood.
+/// responsibilities. Leaves `c·zⱼ` in `resp`, updates the weights (floored,
+/// then renormalized) and returns the log-likelihood.
+#[allow(clippy::too_many_arguments)]
 fn e_step(
     weights: &mut [f64],
     dens: &[f64],
     resp: &mut [f64],
     logw: &mut [f64],
     row: &mut [f64],
+    counts: &[f64],
+    n_samples: f64,
     min_weight: f64,
 ) -> f64 {
     let k = weights.len();
@@ -251,27 +280,65 @@ fn e_step(
         *lw = w.ln();
     }
     let mut ll = 0.0;
-    for i in 0..n {
+    for (i, &c) in counts.iter().enumerate() {
         for (j, slot) in row.iter_mut().enumerate() {
             *slot = logw[j] + dens[j * n + i];
         }
         let log_tot = lse_row(row);
         if log_tot.is_finite() {
-            ll += log_tot;
+            ll += c * log_tot;
         } else {
             row.fill(1.0 / k as f64);
-            ll += -745.0;
+            ll += c * -745.0;
         }
         for (j, &z) in row.iter().enumerate() {
-            resp[j * n + i] = z;
+            resp[j * n + i] = c * z;
         }
     }
     for (w, r) in weights.iter_mut().zip(resp.chunks_exact(n)) {
         let total: f64 = r.iter().sum();
-        *w = (total / n as f64).max(min_weight);
+        *w = (total / n_samples).max(min_weight);
     }
     normalize(weights);
     ll
+}
+
+/// Σ ln f(xᵢ) over every sample for the mixture `comps` with `weights`:
+/// one density sweep and the E-step's log-sum-exp on `samples` (counts of
+/// 1), summed in sample order. Scores the model of a fit that ran on pair
+/// means.
+pub(crate) fn sample_log_likelihood(
+    samples: EmPoints<'_>,
+    comps: &[SkewNormal],
+    weights: &[f64],
+    ws: &mut FitWorkspace,
+) -> f64 {
+    let n = samples.xs.len();
+    let k = comps.len();
+    let FitWorkspace {
+        dens,
+        resp,
+        logw,
+        row,
+        entry_weights,
+        ..
+    } = ws;
+    reset(dens, k * n);
+    reset(resp, k * n);
+    reset(logw, k);
+    reset(row, k);
+    for (comp, d) in comps.iter().zip(dens.chunks_exact_mut(n)) {
+        comp.ln_pdf_batch(samples.xs, d);
+    }
+    // The E-step updates the weights it is given; score with a copy.
+    entry_weights.clear();
+    entry_weights.extend_from_slice(weights);
+    let (counts, n_samples) = (samples.counts, n as f64);
+    if k == 2 {
+        e_step2(entry_weights, dens, resp, counts, n_samples, 0.0)
+    } else {
+        e_step(entry_weights, dens, resp, logw, row, counts, n_samples, 0.0)
+    }
 }
 
 /// Scales `weights` to sum to one.
@@ -329,6 +396,15 @@ impl<M> Restarts<M> {
         self.iterations_all += run.report.iterations;
         if self.best.is_none() || run.report.log_likelihood > self.bar() {
             self.best = Some((model, run));
+        }
+    }
+
+    /// Replaces the best run's log-likelihood with `exact(model)`: a fit on
+    /// grouped points reports its model's log-likelihood on every sample.
+    /// Call after the last [`offer`](Restarts::offer).
+    pub(crate) fn rescore_best(&mut self, exact: impl FnOnce(&M) -> f64) {
+        if let Some((model, run)) = &mut self.best {
+            run.report.log_likelihood = exact(model);
         }
     }
 

@@ -23,6 +23,19 @@
 //!   the first clause or the cap and return their last M-step's output;
 //!   weighted-moments runs mostly end on the second.
 //!
+//! - **Pair sweep**: under the moments M-step (`FitConfig::fast()`, which
+//!   library characterization and the daemon run) from 512 samples on,
+//!   k-means, the k-means cluster inits and EM run on the means of adjacent
+//!   pairs of the sorted samples, each weighted by its count (2, or 1 for
+//!   the odd last sample): half the points in every density sweep, E-step
+//!   and moment sum. The global moments, so `sigma_floor` and the
+//!   scale-split init, come from every sample, and so does the `|Δll|/n`
+//!   of the tolerance. The winning run's model is then scored once on
+//!   every sample, so the reported log-likelihood is the model's exact
+//!   one; the per-iteration trajectory telemetry is that of the pair
+//!   means. Smaller inputs and the weighted-MLE M-step keep one point per
+//!   sample and give the same bits as a per-sample loop.
+//!
 //! Every stage runs on a sorted copy of the samples, so a fit depends only on
 //! the multiset of its samples, and within each density sweep the skew
 //! argument `αz` is monotone, so nearly every 8-lane chunk of
@@ -35,10 +48,10 @@ use lvf2_obs::Obs;
 use lvf2_stats::{Lvf2, Moments, SampleMoments, SkewNormal};
 
 use crate::config::{FitConfig, InitStrategy};
-use crate::em::{cluster_skew_normal, gather_cluster, run_em, Restarts};
+use crate::em::{cluster_skew_normal, gather_cluster, run_em, sample_log_likelihood, Restarts};
 use crate::kmeans::kmeans1d_with;
 use crate::report::Fitted;
-use crate::workspace::FitWorkspace;
+use crate::workspace::{EmPoints, FitWorkspace};
 use crate::FitError;
 
 /// Fits the LVF² model (Eq. 4) to samples with the EM algorithm of §3.2.
@@ -97,8 +110,8 @@ pub fn fit_lvf2_with(
 ) -> Result<Fitted<Lvf2>, FitError> {
     let obs = Obs::current();
     let _span = obs.span("fit.em");
-    let result = ws.with_sorted(samples, |sorted, ws| {
-        fit_lvf2_impl(sorted, config, &obs, ws)
+    let result = ws.with_points(samples, config, |samples, points, ws| {
+        fit_lvf2_impl(samples, points, config, &obs, ws)
     });
     if let Err(e) = &result {
         obs.fit_error("lvf2.em", e);
@@ -106,20 +119,22 @@ pub fn fit_lvf2_with(
     result
 }
 
-/// The fit proper, on `samples` sorted ascending.
+/// The fit proper, on `samples` sorted ascending (counts of 1) and the
+/// `points` EM runs on.
 fn fit_lvf2_impl(
-    samples: &[f64],
+    samples: EmPoints<'_>,
+    points: EmPoints<'_>,
     config: &FitConfig,
     obs: &Obs,
     ws: &mut FitWorkspace,
 ) -> Result<Fitted<Lvf2>, FitError> {
-    let global = SampleMoments::from_samples(samples)?;
+    let global = SampleMoments::from_samples(samples.xs)?;
     if global.variance <= 0.0 {
         return Err(FitError::DegenerateData {
             why: "zero sample variance",
         });
     }
-    if samples.len() < 8 {
+    if samples.xs.len() < 8 {
         return Err(FitError::DegenerateData {
             why: "need at least 8 samples for LVF2",
         });
@@ -137,7 +152,7 @@ fn fit_lvf2_impl(
         // finished restart (see the check inside `run_em`).
         let mut weights = [1.0 - lambda0, lambda0];
         let run = run_em(
-            samples,
+            points,
             &mut comps,
             &mut weights,
             sigma_floor,
@@ -159,15 +174,15 @@ fn fit_lvf2_impl(
     );
     let want_scale = matches!(config.init, InitStrategy::Best | InitStrategy::ScaleSplit);
     let mut degenerate_components = 0usize;
-    kmeans1d_with(samples, 2, config.kmeans_iterations, &mut ws.kmeans)?;
+    kmeans1d_with(points.xs, 2, config.kmeans_iterations, &mut ws.kmeans)?;
     let mut sizes = [0usize; 2];
     ws.kmeans.sizes_into(&mut sizes);
     if want_kmeans && sizes[0] >= 4 && sizes[1] >= 4 {
-        gather_cluster(&mut ws.cluster, samples, ws.kmeans.assignments(), 0);
+        gather_cluster(&mut ws.cluster, points.xs, ws.kmeans.assignments(), 0);
         let c1 = cluster_skew_normal(&ws.cluster, sigma_floor)?;
-        gather_cluster(&mut ws.cluster, samples, ws.kmeans.assignments(), 1);
+        gather_cluster(&mut ws.cluster, points.xs, ws.kmeans.assignments(), 1);
         let c2 = cluster_skew_normal(&ws.cluster, sigma_floor)?;
-        run_from([c1, c2], sizes[1] as f64 / samples.len() as f64, ws)?;
+        run_from([c1, c2], sizes[1] as f64 / points.xs.len() as f64, ws)?;
     } else if want_kmeans {
         // Degenerate split: seed two copies of the global fit, offset ±σ/2.
         degenerate_components = 2;
@@ -179,6 +194,13 @@ fn fit_lvf2_impl(
         let c1 = global_sn(m.mean, 0.55 * m.sigma)?;
         let c2 = global_sn(m.mean, 1.6 * m.sigma)?;
         run_from([c1, c2], 0.35, ws)?;
+    }
+    // A fit on pair means reports its model's log-likelihood on every sample.
+    if points.xs.len() < samples.xs.len() {
+        runs.rescore_best(|m| {
+            let comps = [*m.first(), *m.second()];
+            sample_log_likelihood(samples, &comps, &[1.0 - m.lambda(), m.lambda()], ws)
+        });
     }
     Ok(runs.finish(obs, "lvf2.em", degenerate_components))
 }

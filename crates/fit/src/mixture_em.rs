@@ -5,16 +5,20 @@
 //! This is the general-K version of [`fit_lvf2`](crate::fit_lvf2): k-means
 //! initialization into K clusters, then the same EM loop (`em`), which at
 //! k ≠ 2 takes K-way log-space responsibilities. Like `fit_lvf2`, it runs on
-//! a sorted copy of the samples, so the fit does not depend on their order.
+//! a sorted copy of the samples, so the fit does not depend on their order,
+//! and under the moments M-step from 512 samples on its k-means and EM run
+//! on pair means of that copy, with the result scored on every sample.
 
 use lvf2_obs::Obs;
 use lvf2_stats::{Mixture, Moments, SampleMoments, SkewNormal};
 
 use crate::config::FitConfig;
-use crate::em::{cluster_skew_normal, gather_cluster, normalize, run_em, Restarts};
+use crate::em::{
+    cluster_skew_normal, gather_cluster, normalize, run_em, sample_log_likelihood, Restarts,
+};
 use crate::kmeans::kmeans1d_with;
 use crate::report::Fitted;
-use crate::workspace::FitWorkspace;
+use crate::workspace::{EmPoints, FitWorkspace};
 use crate::FitError;
 
 /// Fits a K-component skew-normal mixture by EM.
@@ -73,8 +77,8 @@ pub fn fit_sn_mixture_with(
 ) -> Result<Fitted<Mixture<SkewNormal>>, FitError> {
     let obs = Obs::current();
     let _span = obs.span("fit.em");
-    let result = ws.with_sorted(samples, |sorted, ws| {
-        fit_sn_mixture_impl(sorted, k, config, &obs, ws)
+    let result = ws.with_points(samples, config, |samples, points, ws| {
+        fit_sn_mixture_impl(samples, points, k, config, &obs, ws)
     });
     if let Err(e) = &result {
         obs.fit_error("sn_mixture.em", e);
@@ -82,9 +86,11 @@ pub fn fit_sn_mixture_with(
     result
 }
 
-/// The fit proper, on `samples` sorted ascending.
+/// The fit proper, on `samples` sorted ascending (counts of 1) and the
+/// `points` EM runs on.
 fn fit_sn_mixture_impl(
-    samples: &[f64],
+    samples: EmPoints<'_>,
+    points: EmPoints<'_>,
     k: usize,
     config: &FitConfig,
     obs: &Obs,
@@ -95,27 +101,27 @@ fn fit_sn_mixture_impl(
             why: "mixture order must be at least 1",
         });
     }
-    let global = SampleMoments::from_samples(samples)?;
+    let global = SampleMoments::from_samples(samples.xs)?;
     if global.variance <= 0.0 {
         return Err(FitError::DegenerateData {
             why: "zero sample variance",
         });
     }
-    if samples.len() < 4 * k {
+    if samples.xs.len() < 4 * k {
         return Err(FitError::DegenerateData {
             why: "need at least 4k samples for a k-mixture",
         });
     }
-    let n = samples.len();
+    let n = points.xs.len();
     let sigma_floor = config.min_sigma_ratio * global.std_dev();
 
     // --- Initialization: k-means + per-cluster method of moments -----------
     let mut comps: Vec<SkewNormal> = Vec::with_capacity(k);
     let mut weights: Vec<f64> = Vec::with_capacity(k);
     let mut degenerate_components = 0usize;
-    kmeans1d_with(samples, k, config.kmeans_iterations, &mut ws.kmeans)?;
+    kmeans1d_with(points.xs, k, config.kmeans_iterations, &mut ws.kmeans)?;
     for j in 0..k {
-        gather_cluster(&mut ws.cluster, samples, ws.kmeans.assignments(), j);
+        gather_cluster(&mut ws.cluster, points.xs, ws.kmeans.assignments(), j);
         let comp = if ws.cluster.len() >= 4 {
             cluster_skew_normal(&ws.cluster, sigma_floor)?
         } else {
@@ -136,7 +142,7 @@ fn fit_sn_mixture_impl(
 
     // One run, so nothing to abandon.
     let run = run_em(
-        samples,
+        points,
         &mut comps,
         &mut weights,
         sigma_floor,
@@ -147,6 +153,10 @@ fn fit_sn_mixture_impl(
     );
     let mut runs = Restarts::new();
     runs.offer(Mixture::new(comps, weights)?, run);
+    // A fit on pair means reports its model's log-likelihood on every sample.
+    if points.xs.len() < samples.xs.len() {
+        runs.rescore_best(|m| sample_log_likelihood(samples, m.components(), m.weights(), ws));
+    }
     Ok(runs.finish(obs, "sn_mixture.em", degenerate_components))
 }
 

@@ -1,9 +1,10 @@
 //! Reusable scratch memory for the EM hot path.
 //!
 //! A [`FitWorkspace`] owns every buffer the EM needs: the sorted copy of the
-//! samples that every stage of a fit runs on, the log-density and
-//! responsibility matrices, the Nelder–Mead simplex, the k-means
-//! assignment arrays and the M-step compaction buffers. Allocate one
+//! samples, the points EM runs on (pair means of the sorted samples, with
+//! their counts, for moment-matching fits of 512 samples or more), the
+//! log-density and responsibility matrices, the Nelder–Mead simplex, the
+//! k-means assignment arrays and the M-step compaction buffers. Allocate one
 //! per arc (or one per worker thread — see [`crate::fit_lvf2_batch`]) and
 //! every steady-state EM iteration runs without touching the heap:
 //! `tests/no_alloc.rs` pins that with a counting global allocator.
@@ -13,6 +14,37 @@
 //! settles after the first fit.
 
 use lvf2_stats::SkewNormal;
+
+use crate::config::{FitConfig, MStep};
+
+/// Consecutive sorted samples that make one EM point under the moments
+/// M-step. Pairs halve every density sweep, E-step and moment sum. On the
+/// 1536 fits of perfbench `libchar`'s twelve reference arcs, means of up to
+/// 16 samples kept every quality key within 5% of the one-point-per-sample
+/// fit or better (`docs/PERFORMANCE.md`); pairs are what the daemon's
+/// benchmarks admit (ROADMAP.md items 1 and 5).
+pub(crate) const GROUP_SIZE: usize = 2;
+
+/// Fewest samples for which the moments M-step runs on group means; smaller
+/// inputs, and every weighted-MLE fit, keep one point per sample. On the
+/// same reference fits cut to their first 128–2000 samples, scored against
+/// each entry's full 2000-sample reference, pair means kept the binning,
+/// 3σ-yield and median CDF-RMSE errors within 1.6% of the per-sample fit's
+/// at every size, but the models' exact log-likelihood on their own samples
+/// fell 2.4% at 128 samples and 0.75% at 256, against at most 0.25% from
+/// 384 on (`docs/PERFORMANCE.md`). 512 sits above that knee.
+pub(crate) const GROUPED_MIN_SAMPLES: usize = 512;
+
+/// Points for EM, each standing for `counts[i]` samples.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EmPoints<'a> {
+    /// Ascending: the sorted samples, or the means of consecutive groups of
+    /// them.
+    pub(crate) xs: &'a [f64],
+    /// How many samples each point stands for: 1 for a sample, the group
+    /// size for a group mean.
+    pub(crate) counts: &'a [f64],
+}
 
 /// Scratch buffers for one fitting thread.
 ///
@@ -49,8 +81,15 @@ use lvf2_stats::SkewNormal;
 #[derive(Debug, Default, Clone)]
 pub struct FitWorkspace {
     /// Sorted copy of the caller's samples (length n); see
-    /// [`FitWorkspace::with_sorted`].
+    /// [`FitWorkspace::with_points`].
     pub(crate) sorted: Vec<f64>,
+    /// Count 1 for each sorted sample (at least n long, all 1.0).
+    pub(crate) unit_counts: Vec<f64>,
+    /// Means of groups of [`GROUP_SIZE`] consecutive sorted samples, when
+    /// the fit runs on them.
+    pub(crate) group_means: Vec<f64>,
+    /// Samples per group (the last group may be short).
+    pub(crate) group_counts: Vec<f64>,
     /// Component-major k×n log-density matrix (`dens[j * n + i]`).
     pub(crate) dens: Vec<f64>,
     /// Component-major k×n responsibility matrix (`resp[j * n + i]`). At
@@ -85,24 +124,60 @@ impl FitWorkspace {
     }
 
     /// Runs `fit` on a copy of `samples` sorted ascending, held in this
-    /// workspace. Every stage of a fit (k-means, initialization, EM, M-step)
-    /// then sees the same sequence for any permutation of the input, so the
-    /// fit depends only on the multiset of samples. `f64::total_cmp` makes
-    /// the order total — NaN cannot panic here and is reported by the
-    /// fitter's moment check — and places `−0.0` before `+0.0`.
-    pub(crate) fn with_sorted<R>(
+    /// workspace, given as its first argument with counts of 1, and on the
+    /// [`EmPoints`] that EM runs on, its second. Every stage of a fit
+    /// (k-means, initialization, EM, M-step) then sees the same sequence for
+    /// any permutation of the input, so the fit depends only on the multiset
+    /// of samples. `f64::total_cmp` makes the order total — NaN cannot panic
+    /// here and is reported by the fitter's moment check — and places `−0.0`
+    /// before `+0.0`.
+    ///
+    /// Under the moments M-step, from [`GROUPED_MIN_SAMPLES`] samples on,
+    /// the EM points are the means of [`GROUP_SIZE`] consecutive sorted
+    /// samples, each with its count; otherwise they are the sorted samples.
+    pub(crate) fn with_points<R>(
         &mut self,
         samples: &[f64],
-        fit: impl FnOnce(&[f64], &mut FitWorkspace) -> R,
+        config: &FitConfig,
+        fit: impl FnOnce(EmPoints<'_>, EmPoints<'_>, &mut FitWorkspace) -> R,
     ) -> R {
-        // Taking the buffer moves it without allocating; it goes back after
-        // the fit so its capacity is reused.
+        // Taking the buffers moves them without allocating; they go back
+        // after the fit so their capacity is reused.
         let mut sorted = std::mem::take(&mut self.sorted);
+        let mut ones = std::mem::take(&mut self.unit_counts);
+        let mut means = std::mem::take(&mut self.group_means);
+        let mut counts = std::mem::take(&mut self.group_counts);
         sorted.clear();
         sorted.extend_from_slice(samples);
         sorted.sort_unstable_by(f64::total_cmp);
-        let out = fit(&sorted, self);
+        if ones.len() < sorted.len() {
+            ones.resize(sorted.len(), 1.0);
+        }
+        means.clear();
+        counts.clear();
+        let all = EmPoints {
+            xs: &sorted,
+            counts: &ones[..sorted.len()],
+        };
+        let points =
+            if config.m_step == MStep::WeightedMoments && sorted.len() >= GROUPED_MIN_SAMPLES {
+                for g in sorted.chunks(GROUP_SIZE) {
+                    let len = g.len() as f64;
+                    means.push(g.iter().sum::<f64>() / len);
+                    counts.push(len);
+                }
+                EmPoints {
+                    xs: &means,
+                    counts: &counts,
+                }
+            } else {
+                all
+            };
+        let out = fit(all, points, self);
         self.sorted = sorted;
+        self.unit_counts = ones;
+        self.group_means = means;
+        self.group_counts = counts;
         out
     }
 }

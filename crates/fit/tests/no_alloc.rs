@@ -124,25 +124,31 @@ fn fit_lvf2_second_run_allocates_nothing() {
 fn fit_lvf2_steady_state_holds_across_dataset_sizes() {
     // Growing once to the largest dataset covers all smaller ones too:
     // buffers never shrink, so later fits of any size stay allocation-free.
-    let sets: Vec<Vec<f64>> = [400usize, 1200, 700]
+    // Under `fast()` the sizes from 512 on run on pair means (1501 ends on a
+    // single-sample point) and are rescored on every sample.
+    let sets: Vec<Vec<f64>> = [400usize, 1501, 1200, 700]
         .iter()
         .enumerate()
         .map(|(i, &n)| bimodal_samples(n, 10 + i as u64))
         .collect();
-    let config = FitConfig::default();
-    let mut ws = FitWorkspace::new();
+    for (name, config) in [
+        ("default", FitConfig::default()),
+        ("fast", FitConfig::fast()),
+    ] {
+        let mut ws = FitWorkspace::new();
 
-    // Warm up on the largest set.
-    fit_lvf2_with(&sets[1], &config, &mut ws).unwrap();
+        // Warm up on the largest set.
+        fit_lvf2_with(&sets[1], &config, &mut ws).unwrap();
 
-    for xs in &sets {
-        let (allocs, _) = count_allocs(|| fit_lvf2_with(xs, &config, &mut ws).unwrap());
-        assert_eq!(
-            allocs,
-            0,
-            "n={} should be covered by the warm buffers",
-            xs.len()
-        );
+        for xs in &sets {
+            let (allocs, _) = count_allocs(|| fit_lvf2_with(xs, &config, &mut ws).unwrap());
+            assert_eq!(
+                allocs,
+                0,
+                "{name}: n={} should be covered by the warm buffers",
+                xs.len()
+            );
+        }
     }
 }
 

@@ -5,6 +5,10 @@
 //! EM iterate. Each case recomputes Σ ln f(xᵢ) with
 //! [`Distribution::ln_pdf`] and asserts agreement to 1e-12 relative, which
 //! leaves room only for summation order and the E-step's log-sum-exp.
+//!
+//! Every data set here has at least 512 samples, so the `fast()` cases run
+//! EM on pair means and report the winning model rescored on every sample;
+//! `table1_arc_odd` (n = 1501) ends on a single-sample point of count 1.
 
 use lvf2_fit::{fit_lvf2, fit_sn_mixture, FitConfig};
 use lvf2_stats::{Distribution, Lvf2, Mixture, Moments, SkewNormal};
@@ -17,8 +21,9 @@ fn sn(mean: f64, sigma: f64, skew: f64) -> SkewNormal {
     SkewNormal::from_moments(Moments::new(mean, sigma, skew)).unwrap()
 }
 
-/// Data sets that cover a converged two-peak arc, overlapping peaks that
-/// run EM to its cap, and a three-peak mixture.
+/// Data sets that cover a converged two-peak arc (at an even and an odd
+/// length), overlapping peaks that run EM to its cap, and a three-peak
+/// mixture.
 fn datasets() -> Vec<(&'static str, Vec<f64>)> {
     let table1 = Lvf2::new(0.45, sn(0.10, 0.010, 0.4), sn(0.16, 0.012, -0.1)).unwrap();
     let overlapping = Lvf2::new(0.7, sn(0.5, 0.15, -0.5), sn(0.75, 0.195, 0.2)).unwrap();
@@ -31,6 +36,10 @@ fn datasets() -> Vec<(&'static str, Vec<f64>)> {
         (
             "table1_arc",
             table1.sample_n(&mut StdRng::seed_from_u64(2024), 2000),
+        ),
+        (
+            "table1_arc_odd",
+            table1.sample_n(&mut StdRng::seed_from_u64(2025), 1501),
         ),
         (
             "overlapping",

@@ -4,12 +4,22 @@ use std::fmt::Write as _;
 
 use crate::ast::{Library, TimingTable};
 
-fn fmt_list(values: &[f64]) -> String {
-    values
-        .iter()
-        .map(|v| format!("{v}"))
-        .collect::<Vec<_>>()
-        .join(", ")
+/// Appends `values` as `v1, v2, …`, each in `f64`'s shortest round-trip
+/// form, formatted straight into `out`.
+fn write_list(out: &mut String, values: &[f64]) {
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "{v}");
+    }
+}
+
+/// Appends `{indent}{name} ("v1, v2, …");` and a newline.
+fn write_index(out: &mut String, indent: &str, name: &str, values: &[f64]) {
+    let _ = write!(out, "{indent}{name} (\"");
+    write_list(out, values);
+    out.push_str("\");\n");
 }
 
 fn write_table(out: &mut String, indent: &str, table: &TimingTable) {
@@ -19,22 +29,23 @@ fn write_table(out: &mut String, indent: &str, table: &TimingTable) {
         table.kind.attribute_name(),
         table.template
     );
+    let inner = format!("{indent}  ");
     if !table.index_1.is_empty() {
-        let _ = writeln!(out, "{indent}  index_1 (\"{}\");", fmt_list(&table.index_1));
+        write_index(out, &inner, "index_1", &table.index_1);
     }
     if !table.index_2.is_empty() {
-        let _ = writeln!(out, "{indent}  index_2 (\"{}\");", fmt_list(&table.index_2));
+        write_index(out, &inner, "index_2", &table.index_2);
     }
-    let rows: Vec<String> = table
-        .values
-        .iter()
-        .map(|r| format!("\"{}\"", fmt_list(r)))
-        .collect();
-    let _ = writeln!(
-        out,
-        "{indent}  values ({});",
-        rows.join(", \\\n{}    ".replace("{}", indent).as_str())
-    );
+    let _ = write!(out, "{inner}values (");
+    for (i, row) in table.values.iter().enumerate() {
+        if i > 0 {
+            let _ = write!(out, ", \\\n{indent}    ");
+        }
+        out.push('"');
+        write_list(out, row);
+        out.push('"');
+    }
+    out.push_str(");\n");
     let _ = writeln!(out, "{indent}}}");
 }
 
@@ -62,8 +73,8 @@ pub fn write_library(lib: &Library) -> String {
         let _ = writeln!(out, "  lu_table_template ({}) {{", t.name);
         let _ = writeln!(out, "    variable_1 : input_net_transition;");
         let _ = writeln!(out, "    variable_2 : total_output_net_capacitance;");
-        let _ = writeln!(out, "    index_1 (\"{}\");", fmt_list(&t.index_1));
-        let _ = writeln!(out, "    index_2 (\"{}\");", fmt_list(&t.index_2));
+        write_index(&mut out, "    ", "index_1", &t.index_1);
+        write_index(&mut out, "    ", "index_2", &t.index_2);
         let _ = writeln!(out, "  }}");
     }
     for cell in &lib.cells {

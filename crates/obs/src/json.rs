@@ -147,19 +147,29 @@ fn write_num(n: f64, out: &mut String) {
 
 fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Every byte that needs an escape is ASCII, so the runs between them
+    // are whole UTF-8 text and copy over in one piece.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            b if b < 0x20 => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escape {
+            Some(e) => out.push_str(e),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -291,11 +301,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // The cursor only ever advances by whole scalars, so it
-                    // sits on a char boundary of the original &str.
-                    let c = self.text[self.pos..].chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash whole:
+                    // both are ASCII, so the run ends on a char boundary of
+                    // the original &str, as the cursor always does.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |k| self.pos + k);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -384,6 +398,10 @@ mod tests {
     #[test]
     fn escapes_round_trip() {
         let v = Value::Str("a\"b\\c\nd\te\u{1}".into());
+        assert_eq!(parse(&v.to_json()).unwrap(), v);
+        // Multi-byte text between escapes is copied whole both ways.
+        let v = Value::Str("µs→\"ÿ\"\r\u{1f}é".into());
+        assert_eq!(v.to_json(), r#""µs→\"ÿ\"\r\u001fé""#);
         assert_eq!(parse(&v.to_json()).unwrap(), v);
     }
 

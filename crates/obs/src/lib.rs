@@ -666,10 +666,11 @@ pub struct FitEvent<'a> {
     pub restarts: usize,
     /// Restarts cut short because they provably trailed a finished one.
     pub restarts_abandoned: usize,
-    /// Final total log-likelihood.
+    /// Final total log-likelihood of the samples.
     pub log_likelihood: f64,
-    /// Per-iteration log-likelihood of the winning run (empty unless
-    /// [`Obs::debug_data_enabled`]).
+    /// Per-iteration log-likelihood of the winning run, over the points
+    /// its EM ran on (pair means for large moment-matching fits; empty
+    /// unless [`Obs::debug_data_enabled`]).
     pub trajectory: &'a [f64],
     /// Components that had to be seeded from the global fallback.
     pub degenerate_components: usize,
