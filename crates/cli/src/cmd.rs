@@ -708,13 +708,7 @@ pub fn fit(args: &[String]) -> CliResult {
     let opts = Opts::parse(args);
     let path = opts.positional(0).ok_or("usage: lvf2 fit FILE|-")?;
     let xs = read_samples(path)?;
-    let kind = match opts.get("model").unwrap_or("lvf2") {
-        "lvf" => ModelKind::Lvf,
-        "norm2" => ModelKind::Norm2,
-        "lesn" => ModelKind::Lesn,
-        "lvf2" => ModelKind::Lvf2,
-        other => return Err(format!("unknown model `{other}`").into()),
-    };
+    let kind: ModelKind = opts.get("model").unwrap_or("lvf2").parse()?;
     let fitted = fit_model(kind, &xs, &config(&opts))?;
     println!(
         "{kind}: mean={:.6} sigma={:.6} skew={:+.4} exkurt={:+.4}",
@@ -816,12 +810,10 @@ pub fn yield_cmd(args: &[String]) -> CliResult {
         .parse()
         .map_err(|_| "invalid --target")?;
     let draws: usize = opts.get_or("draws", 50_000)?;
-    let kind = match opts.get("model").unwrap_or("lvf2") {
-        "lvf" => ModelKind::Lvf,
-        "norm2" => ModelKind::Norm2,
-        "lvf2" => ModelKind::Lvf2,
-        other => return Err(format!("unknown model `{other}` (lesn has no tail sampler)").into()),
-    };
+    let kind: ModelKind = opts.get("model").unwrap_or("lvf2").parse()?;
+    if kind == ModelKind::Lesn {
+        return Err("unknown model `lesn` (lesn has no tail sampler)".into());
+    }
     let fitted = fit_model(kind, &xs, &config(&opts))?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(opts.get_or("seed", 2024u64)?);
     let proposal = shifted_proposal(&fitted.model, target)?;

@@ -174,23 +174,6 @@ pub fn validate_fit(fit: &FitConfig) -> Result<(), Lvf2Error> {
             format!("must be positive and finite, got {}", fit.tolerance),
         ));
     }
-    // The EM clamps λ to [min_weight, 1 − min_weight], which panics when the
-    // floor exceeds the ceiling.
-    if !(0.0..=0.5).contains(&fit.min_weight) {
-        return Err(Lvf2Error::invalid(
-            "fit.min_weight",
-            format!("must be in [0, 0.5], got {}", fit.min_weight),
-        ));
-    }
-    if !fit.min_sigma_ratio.is_finite() || fit.min_sigma_ratio < 0.0 {
-        return Err(Lvf2Error::invalid(
-            "fit.min_sigma_ratio",
-            format!(
-                "must be finite and non-negative, got {}",
-                fit.min_sigma_ratio
-            ),
-        ));
-    }
     Ok(())
 }
 

@@ -39,6 +39,22 @@ impl ModelKind {
     }
 }
 
+/// Parses the lowercase wire and command-line names `lvf`, `norm2`, `lesn`
+/// and `lvf2`.
+impl std::str::FromStr for ModelKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "lvf" => Ok(ModelKind::Lvf),
+            "norm2" => Ok(ModelKind::Norm2),
+            "lesn" => Ok(ModelKind::Lesn),
+            "lvf2" => Ok(ModelKind::Lvf2),
+            other => Err(format!("unknown model `{other}` (lvf, norm2, lesn, lvf2)")),
+        }
+    }
+}
+
 impl std::fmt::Display for ModelKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -187,6 +203,16 @@ mod tests {
     fn kind_names_match_paper() {
         assert_eq!(ModelKind::Lvf2.to_string(), "LVF2");
         assert_eq!(ModelKind::ALL[0], ModelKind::Lvf);
+    }
+
+    #[test]
+    fn every_kind_parses_from_its_lowercase_name() {
+        for kind in ModelKind::ALL {
+            let name = kind.name().to_ascii_lowercase();
+            assert_eq!(name.parse::<ModelKind>(), Ok(kind));
+        }
+        let err = "gauss".parse::<ModelKind>().unwrap_err();
+        assert!(err.contains("unknown model `gauss`"), "{err}");
     }
 
     #[test]

@@ -36,7 +36,33 @@ pub enum InitStrategy {
     ScaleSplit,
 }
 
+/// K-means iterations for the EM initialization (§3.2).
+pub const KMEANS_ITERATIONS: usize = 50;
+
+/// Floor for mixture component weights. With two components λ is clamped
+/// into `[MIN_WEIGHT, 1 − MIN_WEIGHT]`. With any other count each weight is
+/// floored at `MIN_WEIGHT` and then all are renormalized, so a weight can end
+/// slightly below the floor. No component is re-seeded.
+pub const MIN_WEIGHT: f64 = 1e-3;
+
+/// Floor for component standard deviations, relative to the data σ: no
+/// component σ falls below `MIN_SIGMA_RATIO` times the sample standard
+/// deviation.
+pub const MIN_SIGMA_RATIO: f64 = 1e-3;
+
 /// Tuning knobs for the fitting routines.
+///
+/// The k-means budget and the weight and σ floors are fixed parts of the
+/// algorithm ([`KMEANS_ITERATIONS`], [`MIN_WEIGHT`], [`MIN_SIGMA_RATIO`]).
+/// Each field here stays for a reason:
+///
+/// - `max_iterations`, `inner_evals` and `m_step` differ between
+///   [`FitConfig::default`], [`FitConfig::fast`] and the LESN sums of the
+///   SSTA engine;
+/// - `tolerance` stays for a measured 1e-6 preset (ROADMAP.md, item 2);
+/// - `init` stays for the initialization ablation (DESIGN.md §6);
+/// - `seed` stays until the next benchmark change (ROADMAP.md, "Dead
+///   `FitConfig::seed`").
 ///
 /// Construct with [`FitConfig::default`] and chain `with_*` builders:
 ///
@@ -64,15 +90,6 @@ pub struct FitConfig {
     pub m_step: MStep,
     /// Initialization strategy for the LVF² EM.
     pub init: InitStrategy,
-    /// K-means iterations for initialization.
-    pub kmeans_iterations: usize,
-    /// Floor for component weights. With two components λ is clamped into
-    /// `[min_weight, 1 − min_weight]`. With any other count each weight is
-    /// floored at `min_weight` and then all are renormalized, so a weight
-    /// can end slightly below the floor. No component is re-seeded.
-    pub min_weight: f64,
-    /// Floor for component standard deviations relative to the data σ.
-    pub min_sigma_ratio: f64,
     /// Unread: no fitter draws random numbers, and fits are deterministic
     /// given data + config. The daemon still hashes it into its cache key
     /// (`fit.seed`), the field's only effect, until it is deleted (ROADMAP.md,
@@ -88,9 +105,6 @@ impl Default for FitConfig {
             inner_evals: 120,
             m_step: MStep::default(),
             init: InitStrategy::default(),
-            kmeans_iterations: 50,
-            min_weight: 1e-3,
-            min_sigma_ratio: 1e-3,
             seed: 0x5eed,
         }
     }

@@ -15,9 +15,9 @@
 //! - at k = 2 the state is λ, the second component's weight: the chunked
 //!   [`lse2`] kernel gives `z₁`, the second responsibility is `1 − z₁`, and
 //!   λ = Σcᵢ(1 − z₁ᵢ)/n over the n samples is clamped into
-//!   `[min_weight, 1 − min_weight]`;
+//!   `[MIN_WEIGHT, 1 − MIN_WEIGHT]`;
 //! - at any other k each point's row goes through [`lse_row`], and each
-//!   weight is floored at `min_weight` and then all are renormalized.
+//!   weight is floored at [`MIN_WEIGHT`] and then all are renormalized.
 //!
 //! Each iteration's log-likelihood, Σcᵢ ln f(xᵢ) over the points, scores
 //! the iterate that enters it, and the run returns the best iterate it
@@ -35,7 +35,7 @@
 use lvf2_obs::{FitEvent, Obs};
 use lvf2_stats::{Distribution, Moments, SampleMoments, SkewNormal};
 
-use crate::config::{FitConfig, MStep};
+use crate::config::{FitConfig, MStep, MIN_WEIGHT};
 use crate::estep::{lse2, lse_row};
 use crate::nelder_mead::{nelder_mead_with, NelderMeadOptions};
 use crate::report::{FitReport, Fitted};
@@ -108,7 +108,6 @@ pub(crate) fn run_em(
     let n = points.xs.len();
     let counts = points.counts;
     let n_samples: f64 = counts.iter().sum();
-    let min_weight = config.min_weight;
     let k = comps.len();
     assert_eq!(weights.len(), k, "one weight per component");
     let FitWorkspace {
@@ -128,7 +127,7 @@ pub(crate) fn run_em(
     reset(row, k);
     reset(entry_weights, k);
     if k == 2 {
-        set_lambda(weights, weights[1], min_weight);
+        set_lambda(weights, weights[1]);
     }
     // The initialization stands as the best iterate until one is scored.
     best_comps.clear();
@@ -152,11 +151,9 @@ pub(crate) fn run_em(
         }
         entry_weights.copy_from_slice(weights);
         let ll = if k == 2 {
-            e_step2(weights, dens, resp, counts, n_samples, min_weight)
+            e_step2(weights, dens, resp, counts, n_samples)
         } else {
-            e_step(
-                weights, dens, resp, logw, row, counts, n_samples, min_weight,
-            )
+            e_step(weights, dens, resp, logw, row, counts, n_samples)
         };
         // `ll` scores `comps` (not yet re-fitted) under `entry_weights`.
         if ll > best_ll {
@@ -216,9 +213,9 @@ pub(crate) fn run_em(
     }
 }
 
-/// `weights = [1 − λ, λ]` with λ clamped into `[min_weight, 1 − min_weight]`.
-fn set_lambda(weights: &mut [f64], lambda: f64, min_weight: f64) {
-    let lambda = lambda.clamp(min_weight, 1.0 - min_weight);
+/// `weights = [1 − λ, λ]` with λ clamped into `[MIN_WEIGHT, 1 − MIN_WEIGHT]`.
+fn set_lambda(weights: &mut [f64], lambda: f64) {
+    let lambda = lambda.clamp(MIN_WEIGHT, 1.0 - MIN_WEIGHT);
     weights[0] = 1.0 - lambda;
     weights[1] = lambda;
 }
@@ -234,7 +231,6 @@ fn e_step2(
     resp: &mut [f64],
     counts: &[f64],
     n_samples: f64,
-    min_weight: f64,
 ) -> f64 {
     let n = dens.len() / 2;
     let (logs1, logs2) = dens.split_at(n);
@@ -255,7 +251,7 @@ fn e_step2(
         *z1 = c * z;
         *z2 = c * (1.0 - z);
     }
-    set_lambda(weights, (n_samples - w1) / n_samples, min_weight);
+    set_lambda(weights, (n_samples - w1) / n_samples);
     ll
 }
 
@@ -272,7 +268,6 @@ fn e_step(
     row: &mut [f64],
     counts: &[f64],
     n_samples: f64,
-    min_weight: f64,
 ) -> f64 {
     let k = weights.len();
     let n = dens.len() / k;
@@ -297,7 +292,7 @@ fn e_step(
     }
     for (w, r) in weights.iter_mut().zip(resp.chunks_exact(n)) {
         let total: f64 = r.iter().sum();
-        *w = (total / n_samples).max(min_weight);
+        *w = (total / n_samples).max(MIN_WEIGHT);
     }
     normalize(weights);
     ll
@@ -335,9 +330,9 @@ pub(crate) fn sample_log_likelihood(
     entry_weights.extend_from_slice(weights);
     let (counts, n_samples) = (samples.counts, n as f64);
     if k == 2 {
-        e_step2(entry_weights, dens, resp, counts, n_samples, 0.0)
+        e_step2(entry_weights, dens, resp, counts, n_samples)
     } else {
-        e_step(entry_weights, dens, resp, logw, row, counts, n_samples, 0.0)
+        e_step(entry_weights, dens, resp, logw, row, counts, n_samples)
     }
 }
 

@@ -62,7 +62,7 @@ pub mod weighted;
 pub mod workspace;
 
 pub use batch::fit_lvf2_batch;
-pub use config::{FitConfig, InitStrategy, MStep};
+pub use config::{FitConfig, InitStrategy, MStep, KMEANS_ITERATIONS, MIN_SIGMA_RATIO, MIN_WEIGHT};
 pub use error::FitError;
 pub use kmeans::{kmeans1d, kmeans1d_with, KMeansResult};
 pub use lesn::{fit_lesn, fit_lesn_moments};

@@ -47,7 +47,7 @@
 use lvf2_obs::Obs;
 use lvf2_stats::{Lvf2, Moments, SampleMoments, SkewNormal};
 
-use crate::config::{FitConfig, InitStrategy};
+use crate::config::{FitConfig, InitStrategy, KMEANS_ITERATIONS, MIN_SIGMA_RATIO};
 use crate::em::{cluster_skew_normal, gather_cluster, run_em, sample_log_likelihood, Restarts};
 use crate::kmeans::kmeans1d_with;
 use crate::report::Fitted;
@@ -58,9 +58,9 @@ use crate::FitError;
 ///
 /// The fit is deterministic for a given `(samples, config)` pair and does not
 /// depend on the order of `samples`: any permutation gives a bit-identical
-/// fit. The returned λ is always in `[min_weight, 1 − min_weight]`;
-/// exact-LVF models (λ = 0) are produced by [`lvf2_stats::Lvf2::from_lvf`],
-/// not by this fitter.
+/// fit. The returned λ is always in `[MIN_WEIGHT, 1 − MIN_WEIGHT]`
+/// ([`MIN_WEIGHT`](crate::MIN_WEIGHT)); exact-LVF models (λ = 0) are
+/// produced by [`lvf2_stats::Lvf2::from_lvf`], not by this fitter.
 ///
 /// # Errors
 ///
@@ -139,7 +139,7 @@ fn fit_lvf2_impl(
             why: "need at least 8 samples for LVF2",
         });
     }
-    let sigma_floor = config.min_sigma_ratio * global.std_dev();
+    let sigma_floor = MIN_SIGMA_RATIO * global.std_dev();
 
     // --- Initialization candidates, each run by EM in turn ------------------
     // (a) k-means + method of moments (§3.2) — finds separated peaks;
@@ -174,7 +174,7 @@ fn fit_lvf2_impl(
     );
     let want_scale = matches!(config.init, InitStrategy::Best | InitStrategy::ScaleSplit);
     let mut degenerate_components = 0usize;
-    kmeans1d_with(points.xs, 2, config.kmeans_iterations, &mut ws.kmeans)?;
+    kmeans1d_with(points.xs, 2, KMEANS_ITERATIONS, &mut ws.kmeans)?;
     let mut sizes = [0usize; 2];
     ws.kmeans.sizes_into(&mut sizes);
     if want_kmeans && sizes[0] >= 4 && sizes[1] >= 4 {

@@ -12,7 +12,7 @@
 use lvf2_obs::Obs;
 use lvf2_stats::{Mixture, Moments, SampleMoments, SkewNormal};
 
-use crate::config::FitConfig;
+use crate::config::{FitConfig, KMEANS_ITERATIONS, MIN_SIGMA_RATIO, MIN_WEIGHT};
 use crate::em::{
     cluster_skew_normal, gather_cluster, normalize, run_em, sample_log_likelihood, Restarts,
 };
@@ -113,13 +113,13 @@ fn fit_sn_mixture_impl(
         });
     }
     let n = points.xs.len();
-    let sigma_floor = config.min_sigma_ratio * global.std_dev();
+    let sigma_floor = MIN_SIGMA_RATIO * global.std_dev();
 
     // --- Initialization: k-means + per-cluster method of moments -----------
     let mut comps: Vec<SkewNormal> = Vec::with_capacity(k);
     let mut weights: Vec<f64> = Vec::with_capacity(k);
     let mut degenerate_components = 0usize;
-    kmeans1d_with(points.xs, k, config.kmeans_iterations, &mut ws.kmeans)?;
+    kmeans1d_with(points.xs, k, KMEANS_ITERATIONS, &mut ws.kmeans)?;
     for j in 0..k {
         gather_cluster(&mut ws.cluster, points.xs, ws.kmeans.assignments(), j);
         let comp = if ws.cluster.len() >= 4 {
@@ -136,7 +136,7 @@ fn fit_sn_mixture_impl(
         };
         comps.push(comp);
         let size = ws.cluster.len();
-        weights.push((size.max(1) as f64 / n as f64).max(config.min_weight));
+        weights.push((size.max(1) as f64 / n as f64).max(MIN_WEIGHT));
     }
     normalize(&mut weights);
 

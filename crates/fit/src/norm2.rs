@@ -3,9 +3,9 @@
 //! The M-step is closed form (weighted means/variances), so this is the
 //! textbook Gaussian-mixture EM with k-means initialization.
 
-use lvf2_stats::{Norm2, Normal, SampleMoments};
+use lvf2_stats::{Distribution, Norm2, Normal, SampleMoments};
 
-use crate::config::FitConfig;
+use crate::config::{FitConfig, KMEANS_ITERATIONS, MIN_SIGMA_RATIO, MIN_WEIGHT};
 use crate::kmeans::kmeans1d;
 use crate::report::{FitReport, Fitted};
 use crate::FitError;
@@ -15,8 +15,9 @@ use crate::FitError;
 /// Initialization: k-means into two clusters, Gaussian per cluster, weight
 /// from cluster sizes; when a cluster has fewer than 2 samples, both
 /// components start from the global Gaussian shifted ∓σ/2. During EM, λ is
-/// clamped into `[min_weight, 1 − min_weight]` and each σ is floored at
-/// `min_sigma_ratio` times the data σ; no component is re-seeded.
+/// clamped into `[MIN_WEIGHT, 1 − MIN_WEIGHT]` ([`MIN_WEIGHT`]) and each σ
+/// is floored at [`MIN_SIGMA_RATIO`] times the data σ; no component is
+/// re-seeded. The reported log-likelihood scores the returned model.
 ///
 /// # Errors
 ///
@@ -52,10 +53,10 @@ pub fn fit_norm2(samples: &[f64], config: &FitConfig) -> Result<Fitted<Norm2>, F
         });
     }
     let n = samples.len();
-    let sigma_floor = config.min_sigma_ratio * global.std_dev();
+    let sigma_floor = MIN_SIGMA_RATIO * global.std_dev();
 
     // --- Initialization: k-means + per-cluster Gaussians -------------------
-    let km = kmeans1d(samples, 2, config.kmeans_iterations)?;
+    let km = kmeans1d(samples, 2, KMEANS_ITERATIONS)?;
     let sizes = km.sizes();
     let (mut mu, mut sg, mut lambda);
     if sizes[0] < 2 || sizes[1] < 2 {
@@ -75,24 +76,23 @@ pub fn fit_norm2(samples: &[f64], config: &FitConfig) -> Result<Fitted<Norm2>, F
         sg = [m0.std_dev().max(sigma_floor), m1.std_dev().max(sigma_floor)];
         lambda = sizes[1] as f64 / n as f64;
     }
-    lambda = lambda.clamp(config.min_weight, 1.0 - config.min_weight);
+    lambda = lambda.clamp(MIN_WEIGHT, 1.0 - MIN_WEIGHT);
 
     // --- EM loop ------------------------------------------------------------
     let mut resp1 = vec![0.0f64; n]; // responsibility of the FIRST component
     let mut prev_ll = f64::NEG_INFINITY;
     let mut iterations = 0;
     let mut converged = false;
-    let mut ll = f64::NEG_INFINITY;
     for it in 0..config.max_iterations {
         iterations = it + 1;
         let d1 = Normal::new(mu[0], sg[0])?;
         let d2 = Normal::new(mu[1], sg[1])?;
 
         // E-step (Eq. 6) + incomplete-data log-likelihood.
-        ll = 0.0;
+        let mut ll = 0.0;
         for (i, &x) in samples.iter().enumerate() {
-            let a = (1.0 - lambda) * lvf2_stats::Distribution::pdf(&d1, x);
-            let b = lambda * lvf2_stats::Distribution::pdf(&d2, x);
+            let a = (1.0 - lambda) * d1.pdf(x);
+            let b = lambda * d2.pdf(x);
             let tot = a + b;
             resp1[i] = if tot > 0.0 { a / tot } else { 0.5 };
             ll += tot.max(f64::MIN_POSITIVE).ln();
@@ -101,7 +101,7 @@ pub fn fit_norm2(samples: &[f64], config: &FitConfig) -> Result<Fitted<Norm2>, F
         // M-step: closed form.
         let w1: f64 = resp1.iter().sum();
         let w2 = n as f64 - w1;
-        lambda = (w2 / n as f64).clamp(config.min_weight, 1.0 - config.min_weight);
+        lambda = (w2 / n as f64).clamp(MIN_WEIGHT, 1.0 - MIN_WEIGHT);
         let mut new_mu = [0.0f64; 2];
         for (i, &x) in samples.iter().enumerate() {
             new_mu[0] += resp1[i] * x;
@@ -134,6 +134,12 @@ pub fn fit_norm2(samples: &[f64], config: &FitConfig) -> Result<Fitted<Norm2>, F
         Normal::new(mu[0], sg[0])?,
         Normal::new(mu[1], sg[1])?,
     )?;
+    // One more E-step pass scores the returned model: the loop's last `ll`
+    // belongs to the iterate that entered the last M-step.
+    let ll = samples
+        .iter()
+        .map(|&x| model.pdf(x).max(f64::MIN_POSITIVE).ln())
+        .sum();
     Ok(Fitted::new(
         model,
         FitReport {
@@ -147,7 +153,6 @@ pub fn fit_norm2(samples: &[f64], config: &FitConfig) -> Result<Fitted<Norm2>, F
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lvf2_stats::Distribution;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

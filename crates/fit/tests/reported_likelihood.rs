@@ -9,8 +9,9 @@
 //! Every data set here has at least 512 samples, so the `fast()` cases run
 //! EM on pair means and report the winning model rescored on every sample;
 //! `table1_arc_odd` (n = 1501) ends on a single-sample point of count 1.
+//! Norm² runs its own closed-form EM on every sample under both presets.
 
-use lvf2_fit::{fit_lvf2, fit_sn_mixture, FitConfig};
+use lvf2_fit::{fit_lvf2, fit_norm2, fit_sn_mixture, FitConfig};
 use lvf2_stats::{Distribution, Lvf2, Mixture, Moments, SkewNormal};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -99,6 +100,27 @@ fn sn_mixture_reports_the_likelihood_of_its_model() {
             check(
                 &mut failures,
                 format!("{data}/k3/{preset}"),
+                fit.report.log_likelihood,
+                actual,
+            );
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+fn norm2_reports_the_likelihood_of_its_model() {
+    let mut failures = Vec::new();
+    for (data, xs) in datasets() {
+        for (preset, cfg) in [
+            ("default", FitConfig::default()),
+            ("fast", FitConfig::fast()),
+        ] {
+            let fit = fit_norm2(&xs, &cfg).unwrap();
+            let actual = recomputed(&fit.model, &xs);
+            check(
+                &mut failures,
+                format!("{data}/norm2/{preset}"),
                 fit.report.log_likelihood,
                 actual,
             );

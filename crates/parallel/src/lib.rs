@@ -99,11 +99,6 @@ impl Parallelism {
         self
     }
 
-    /// The requested thread count (0 = auto).
-    pub fn requested_threads(&self) -> usize {
-        self.threads
-    }
-
     /// Samples per work unit for fine-grained streams.
     pub fn chunk_size(&self) -> usize {
         self.chunk_size.max(1)

@@ -131,10 +131,6 @@ fn hash_common(h: &mut KeyHasher, spec: &TimingArcSpec, opts: &FlowOptions) {
         lvf2::fit::InitStrategy::KMeansMoments => 1,
         lvf2::fit::InitStrategy::ScaleSplit => 2,
     });
-    h.label("fit.kmeans_iterations")
-        .u64(f.kmeans_iterations as u64);
-    h.label("fit.min_weight").f64(f.min_weight);
-    h.label("fit.min_sigma_ratio").f64(f.min_sigma_ratio);
     h.label("fit.seed").u64(f.seed);
     // NOT hashed: opts.parallelism, opts.obs — neither may change a result
     // (see the module docs).

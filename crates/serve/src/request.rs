@@ -222,11 +222,6 @@ fn decode_fit(v: &Value) -> Result<FitConfig, Lvf2Error> {
             "max_iterations" => cfg.max_iterations = as_usize(val, "options.fit.max_iterations")?,
             "tolerance" => cfg.tolerance = as_f64(val, "options.fit.tolerance")?,
             "inner_evals" => cfg.inner_evals = as_usize(val, "options.fit.inner_evals")?,
-            "kmeans_iterations" => {
-                cfg.kmeans_iterations = as_usize(val, "options.fit.kmeans_iterations")?
-            }
-            "min_weight" => cfg.min_weight = as_f64(val, "options.fit.min_weight")?,
-            "min_sigma_ratio" => cfg.min_sigma_ratio = as_f64(val, "options.fit.min_sigma_ratio")?,
             "seed" => cfg.seed = as_usize(val, "options.fit.seed")? as u64,
             "m_step" => {
                 cfg.m_step = match as_str(val, "options.fit.m_step")? {
@@ -386,16 +381,8 @@ impl JobRequest {
             "fit" => {
                 known(&["model", "samples", "fit"])?;
                 let model = match job.get("model").and_then(Value::as_str) {
-                    None | Some("lvf2") => ModelKind::Lvf2,
-                    Some("lvf") => ModelKind::Lvf,
-                    Some("norm2") => ModelKind::Norm2,
-                    Some("lesn") => ModelKind::Lesn,
-                    Some(other) => {
-                        return Err(invalid(
-                            "model",
-                            format!("unknown model `{other}` (lvf, norm2, lesn, lvf2)"),
-                        ))
-                    }
+                    None => ModelKind::Lvf2,
+                    Some(name) => name.parse().map_err(|why: String| invalid("model", why))?,
                 };
                 let samples = f64_array(
                     job.get("samples")
@@ -493,25 +480,27 @@ mod tests {
     }
 
     #[test]
-    fn fit_floors_outside_their_range_are_invalid_config() {
-        // `min_weight` above 0.5 inverts the EM's λ clamp, which panics.
-        let err = decode(
-            r#"{"type":"characterize","cells":["INV"],"options":{"fit":{"min_weight":0.6}}}"#,
-        )
-        .unwrap_err();
-        assert_eq!(err.kind(), "invalid_config");
-        let err = decode(r#"{"type":"fit","samples":[1,2,3,4,5,6,7,8],"fit":{"min_weight":0.6}}"#)
-            .unwrap_err();
-        assert_eq!(err.kind(), "invalid_config");
-        let err = decode(
-            r#"{"type":"characterize","cells":["INV"],"options":{"fit":{"min_sigma_ratio":-1}}}"#,
-        )
-        .unwrap_err();
-        assert_eq!(err.kind(), "invalid_config");
-        assert!(decode(
-            r#"{"type":"characterize","cells":["INV"],"options":{"fit":{"min_weight":0.5}}}"#
-        )
-        .is_ok());
+    fn retired_fit_keys_are_invalid_config() {
+        // The k-means budget and the weight and σ floors are constants of
+        // the fitter, not wire keys: a job that sets one is told which key.
+        for (key, value) in [
+            ("kmeans_iterations", "50"),
+            ("min_weight", "0.001"),
+            ("min_sigma_ratio", "0.001"),
+        ] {
+            for job in [
+                format!(
+                    r#"{{"type":"characterize","cells":["INV"],"options":{{"fit":{{"{key}":{value}}}}}}}"#
+                ),
+                format!(
+                    r#"{{"type":"fit","samples":[1,2,3,4,5,6,7,8],"fit":{{"{key}":{value}}}}}"#
+                ),
+            ] {
+                let err = decode(&job).unwrap_err();
+                assert_eq!(err.kind(), "invalid_config", "{job}");
+                assert!(err.to_string().contains(key), "{job}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -39,8 +39,8 @@ fn thread_count_and_chunk_size_never_change_the_key() {
 fn keys_are_pinned_literals() {
     let spec = TimingArcSpec::of(CellType::Nand2, 0);
     let opts = base_options();
-    assert_eq!(arc_cache_key(&spec, &opts), 0xa826_adfd_188b_300e);
-    assert_eq!(tail_cache_key(&spec, &opts), 0x0475_2f45_eda3_63aa);
+    assert_eq!(arc_cache_key(&spec, &opts), 0xb396_06b4_b7eb_235b);
+    assert_eq!(tail_cache_key(&spec, &opts), 0x4c21_5e27_547d_789f);
 }
 
 #[test]

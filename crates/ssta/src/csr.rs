@@ -34,7 +34,6 @@ use lvf2_parallel::Parallelism;
 use crate::dist::TimingDist;
 use crate::error::SstaError;
 use crate::graph::TimingGraph;
-use crate::reduce::ReductionStrategy;
 
 /// Below this many nodes a level is propagated inline: spawning workers for
 /// a handful of sum/max ops costs more than it saves. Purely a performance
@@ -89,7 +88,6 @@ pub struct CsrGraph {
     /// level-`l` node originates in a level `< l`.
     level_off: Vec<u32>,
     level_nodes: Vec<u32>,
-    strategy: ReductionStrategy,
 }
 
 /// Arrival times plus the propagation telemetry the benches report.
@@ -123,7 +121,6 @@ impl CsrGraph {
         edge_from: Vec<u32>,
         edge_to: Vec<u32>,
         delays: Vec<TimingDist>,
-        strategy: ReductionStrategy,
     ) -> Result<CsrGraph, SstaError> {
         let n_edges = edge_from.len();
         // Counting sort into CSR adjacency. Edge ids are pushed in ascending
@@ -195,7 +192,6 @@ impl CsrGraph {
             fanout_edges,
             level_off,
             level_nodes,
-            strategy,
         })
     }
 
@@ -266,14 +262,14 @@ impl CsrGraph {
             let through = match &arrivals[from] {
                 Some(a) => {
                     sums += 1;
-                    a.sum_with(&self.delays[e as usize], self.strategy)?
+                    a.sum(&self.delays[e as usize])?
                 }
                 None => self.delays[e as usize].clone(),
             };
             acc = Some(match acc {
                 Some(existing) => {
                     maxes += 1;
-                    existing.max_with(&through, self.strategy)?
+                    existing.max(&through)?
                 }
                 None => through,
             });
@@ -369,7 +365,6 @@ impl TryFrom<TimingGraph> for CsrGraph {
     /// instead of cloning it — the conversion to use at 10⁵–10⁶ nodes.
     fn try_from(graph: TimingGraph) -> Result<CsrGraph, SstaError> {
         let nodes = graph.node_count();
-        let strategy = graph.strategy();
         let edges = graph.into_edges();
         let mut edge_from = Vec::with_capacity(edges.len());
         let mut edge_to = Vec::with_capacity(edges.len());
@@ -379,7 +374,7 @@ impl TryFrom<TimingGraph> for CsrGraph {
             edge_to.push(e.to as u32);
             delays.push(e.delay);
         }
-        Self::build(nodes, edge_from, edge_to, delays, strategy)
+        Self::build(nodes, edge_from, edge_to, delays)
     }
 }
 

@@ -81,7 +81,10 @@ impl TimingDist {
         self.sum_with(other, ReductionStrategy::default())
     }
 
-    /// [`sum`](Self::sum) with an explicit mixture-reduction strategy.
+    /// [`sum`](Self::sum) with an explicit mixture-reduction strategy: the
+    /// one route to [`ReductionStrategy::TopKByWeight`], which only the
+    /// reduction ablation uses. The graph engines and [`max`](Self::max)
+    /// always reduce moment-preservingly.
     ///
     /// # Errors
     ///
@@ -134,19 +137,6 @@ impl TimingDist {
     ///
     /// [`SstaError::FamilyMismatch`] for cross-family maxes, plus fit errors.
     pub fn max(&self, other: &TimingDist) -> Result<TimingDist, SstaError> {
-        self.max_with(other, ReductionStrategy::default())
-    }
-
-    /// [`max`](Self::max) with an explicit mixture-reduction strategy.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`max`](Self::max).
-    pub fn max_with(
-        &self,
-        other: &TimingDist,
-        strategy: ReductionStrategy,
-    ) -> Result<TimingDist, SstaError> {
         match (self, other) {
             (TimingDist::Normal(a), TimingDist::Normal(b)) => {
                 let c = clark_component(a, b, 1.0);
@@ -170,12 +160,12 @@ impl TimingDist {
             }
             (TimingDist::Norm2(a), TimingDist::Norm2(b)) => {
                 let comps = norm2_max_components(a, b);
-                let red = reduce_components(comps, 2, strategy);
+                let red = reduce_components(comps, 2, ReductionStrategy::default());
                 Ok(TimingDist::Norm2(components_to_norm2(&red)?))
             }
             (TimingDist::Lvf2(a), TimingDist::Lvf2(b)) => {
                 let comps = lvf2_max_components(a, b);
-                let red = reduce_components(comps, 2, strategy);
+                let red = reduce_components(comps, 2, ReductionStrategy::default());
                 Ok(TimingDist::Lvf2(components_to_lvf2(&red)?))
             }
             _ => Err(SstaError::FamilyMismatch {

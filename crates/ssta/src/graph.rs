@@ -7,7 +7,6 @@ use lvf2_parallel::Parallelism;
 use crate::csr::CsrGraph;
 use crate::dist::TimingDist;
 use crate::error::SstaError;
-use crate::reduce::ReductionStrategy;
 
 /// An edge in the timing graph: a delay distribution from one node to
 /// another.
@@ -50,7 +49,6 @@ pub struct TimingEdge {
 pub struct TimingGraph {
     nodes: usize,
     edges: Vec<TimingEdge>,
-    strategy: ReductionStrategy,
 }
 
 impl TimingGraph {
@@ -59,14 +57,7 @@ impl TimingGraph {
         TimingGraph {
             nodes,
             edges: Vec::new(),
-            strategy: ReductionStrategy::default(),
         }
-    }
-
-    /// Sets the mixture-reduction strategy used at sums and maxes.
-    pub fn with_strategy(mut self, strategy: ReductionStrategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Number of nodes.
@@ -84,11 +75,6 @@ impl TimingGraph {
     /// cloning a multi-hundred-MB slab at graph scale).
     pub fn into_edges(self) -> Vec<TimingEdge> {
         self.edges
-    }
-
-    /// The mixture-reduction strategy used at sums and maxes.
-    pub fn strategy(&self) -> ReductionStrategy {
-        self.strategy
     }
 
     /// Adds a delay edge.
@@ -186,11 +172,11 @@ impl TimingGraph {
                     continue;
                 }
                 let through = match &arrival[e.from] {
-                    Some(a) => a.sum_with(&e.delay, self.strategy)?,
+                    Some(a) => a.sum(&e.delay)?,
                     None => e.delay.clone(),
                 };
                 acc = Some(match acc {
-                    Some(existing) => existing.max_with(&through, self.strategy)?,
+                    Some(existing) => existing.max(&through)?,
                     None => through,
                 });
             }

@@ -8,9 +8,7 @@
 //! determinism matrix at `LVF2_THREADS` ∈ {1, 2, 8}.
 
 use lvf2_parallel::Parallelism;
-use lvf2_ssta::{
-    CsrGraph, DelayFamily, NetlistGen, ReductionStrategy, SyntheticDelays, TimingDist, TimingGraph,
-};
+use lvf2_ssta::{CsrGraph, DelayFamily, NetlistGen, SyntheticDelays, TimingDist, TimingGraph};
 use lvf2_stats::{Lvf2, Moments, Normal, SkewNormal};
 use proptest::prelude::*;
 
@@ -40,13 +38,8 @@ fn delay(family: u8, mean_m: u16, sd_m: u16, shape_m: u16) -> TimingDist {
 /// pairs create parallel edges — legal, and a good stress for fold order.
 /// One delay family per graph: statistical sum/max are only defined within
 /// a family.
-fn build_graph(
-    nodes: usize,
-    family: u8,
-    raw_edges: &[(u16, u16, u16, u16, u16)],
-    strategy: ReductionStrategy,
-) -> TimingGraph {
-    let mut g = TimingGraph::new(nodes).with_strategy(strategy);
+fn build_graph(nodes: usize, family: u8, raw_edges: &[(u16, u16, u16, u16, u16)]) -> TimingGraph {
+    let mut g = TimingGraph::new(nodes);
     for &(a, b, mean_m, sd_m, shape_m) in raw_edges {
         let x = a as usize % nodes;
         let y = b as usize % nodes;
@@ -87,14 +80,8 @@ proptest! {
             0usize..120,
         ),
         source_knob in 0u16..u16::MAX,
-        naive in 0u8..2,
     ) {
-        let strategy = if naive == 1 {
-            ReductionStrategy::TopKByWeight
-        } else {
-            ReductionStrategy::MomentPreservingPairwise
-        };
-        let g = build_graph(nodes, family, &raw_edges, strategy);
+        let g = build_graph(nodes, family, &raw_edges);
         let source = source_knob as usize % nodes;
         let reference = g.arrival_times_reference(source).unwrap();
         let csr = CsrGraph::from_graph(&g).unwrap();

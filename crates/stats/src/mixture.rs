@@ -4,7 +4,6 @@
 use rand::Rng;
 
 use crate::error::ensure_finite;
-use crate::moments::Moments;
 use crate::normal::Normal;
 use crate::skew_normal::SkewNormal;
 use crate::traits::Distribution;
@@ -90,11 +89,6 @@ impl<D: Distribution> Mixture<D> {
     /// Iterates `(weight, component)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (f64, &D)> {
         self.weights.iter().copied().zip(self.components.iter())
-    }
-
-    /// Decomposes into `(components, weights)`.
-    pub fn into_parts(self) -> (Vec<D>, Vec<f64>) {
-        (self.components, self.weights)
     }
 
     /// Central moments (μ, μ₂, μ₃, μ₄) from component moments.
@@ -380,23 +374,6 @@ impl Lvf2 {
         }
     }
 
-    /// Builds both components from LVF moment triples plus a weight.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SkewNormal::from_moments`] and weight validation.
-    pub fn from_moment_triples(
-        lambda: f64,
-        theta1: Moments,
-        theta2: Moments,
-    ) -> Result<Self, StatsError> {
-        Lvf2::new(
-            lambda,
-            SkewNormal::from_moments(theta1)?,
-            SkewNormal::from_moments(theta2)?,
-        )
-    }
-
     /// `true` when this model degenerates to plain LVF (λ = 0 or identical
     /// components).
     pub fn is_lvf(&self) -> bool {
@@ -430,6 +407,7 @@ impl From<Normal> for Norm2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::moments::Moments;
     use crate::quad::adaptive_simpson;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
