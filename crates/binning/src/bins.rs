@@ -65,10 +65,26 @@ impl BinSet {
     ///
     /// Tiny negative values from CDF round-off are clamped to 0.
     pub fn probabilities<F: Fn(f64) -> f64>(&self, cdf: F) -> Vec<f64> {
+        let at: Vec<f64> = self.boundaries.iter().map(|&t| cdf(t)).collect();
+        self.probabilities_at(&at)
+    }
+
+    /// [`probabilities`](Self::probabilities) from the CDF already
+    /// evaluated at each boundary, `cdf_at[i] = F(Tᵢ₊₁)` — for a caller
+    /// that evaluates them in one batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cdf_at` does not hold one value per boundary.
+    pub fn probabilities_at(&self, cdf_at: &[f64]) -> Vec<f64> {
+        assert_eq!(
+            cdf_at.len(),
+            self.boundaries.len(),
+            "one CDF value per boundary"
+        );
         let mut probs = Vec::with_capacity(self.bin_count());
         let mut prev = 0.0;
-        for &t in &self.boundaries {
-            let c = cdf(t);
+        for &c in cdf_at {
             probs.push((c - prev).max(0.0));
             prev = c;
         }
@@ -85,6 +101,22 @@ impl BinSet {
             counts[idx] += 1;
         }
         counts.iter().map(|&c| c as f64 / n).collect()
+    }
+
+    /// [`probabilities_from_samples`](Self::probabilities_from_samples) of
+    /// samples sorted ascending (NaN-free): one binary search per boundary
+    /// instead of one per sample, with the same counts.
+    pub fn probabilities_from_sorted(&self, sorted: &[f64]) -> Vec<f64> {
+        let n = sorted.len() as f64;
+        let mut below_prev = 0;
+        let mut probs = Vec::with_capacity(self.bin_count());
+        for &t in &self.boundaries {
+            let below = sorted.partition_point(|&x| x < t);
+            probs.push((below - below_prev) as f64 / n);
+            below_prev = below;
+        }
+        probs.push((sorted.len() - below_prev) as f64 / n);
+        probs
     }
 
     /// Bin masses from **weighted** samples — the importance-sampling analog
@@ -164,6 +196,16 @@ mod tests {
             assert!((e - x).abs() < 0.01, "{e} vs {x}");
         }
         assert!((emp.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sorted_counts_match_per_sample_counts() {
+        let b = BinSet::new(vec![-1.0, 0.0, 1.0, 2.0]);
+        // Samples on the boundaries (both zeros), between them and outside.
+        let mut xs = vec![0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0, 7.0, 1.0, -0.5];
+        let want = b.probabilities_from_samples(&xs);
+        xs.sort_unstable_by(f64::total_cmp);
+        assert_eq!(b.probabilities_from_sorted(&xs), want);
     }
 
     #[test]

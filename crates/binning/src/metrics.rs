@@ -33,8 +33,7 @@ pub fn binning_error(model: &[f64], golden: &[f64]) -> f64 {
 pub fn yield_3sigma_error<F: Fn(f64) -> f64>(model_cdf: F, golden: &Ecdf) -> f64 {
     let samples = golden.samples();
     let mean = lvf2_stats::sample_mean(samples);
-    let sd = lvf2_stats::sample_std(samples);
-    let t = mean + 3.0 * sd;
+    let t = mean + 3.0 * lvf2_stats::sample_std_about(samples, mean);
     (model_cdf(t) - golden.cdf(t)).abs()
 }
 
@@ -42,16 +41,41 @@ pub fn yield_3sigma_error<F: Fn(f64) -> f64>(model_cdf: F, golden: &Ecdf) -> f64
 /// spaced grid spanning the golden sample range (plus half a σ on each side).
 pub fn cdf_rmse<F: Fn(f64) -> f64>(model_cdf: F, golden: &Ecdf, points: usize) -> f64 {
     assert!(points >= 2, "need at least 2 grid points");
-    let sd = lvf2_stats::sample_std(golden.samples());
-    let lo = golden.min() - 0.5 * sd;
-    let hi = golden.max() + 0.5 * sd;
+    let mut grid = vec![0.0; points];
+    rmse_grid(golden, lvf2_stats::sample_std(golden.samples()), &mut grid);
+    let model: Vec<f64> = grid.iter().map(|&x| model_cdf(x)).collect();
+    rmse_on_grid(golden, &grid, &model)
+}
+
+/// Fills `grid` with the RMSE grid of [`cdf_rmse`]: equally spaced from
+/// half a σ below the golden minimum to half a σ above its maximum,
+/// ascending.
+pub(crate) fn rmse_grid(golden: &Ecdf, sigma: f64, grid: &mut [f64]) {
+    let lo = golden.min() - 0.5 * sigma;
+    let hi = golden.max() + 0.5 * sigma;
+    let last = (grid.len() - 1) as f64;
+    for (k, x) in grid.iter_mut().enumerate() {
+        *x = lo + (hi - lo) * k as f64 / last;
+    }
+}
+
+/// RMSE of `model[k] − F_golden(grid[k])` over an ascending `grid`. The
+/// ECDF is read with one index that moves up the sorted samples along the
+/// grid, giving the counts of [`Ecdf::cdf`] without a search per point.
+pub(crate) fn rmse_on_grid(golden: &Ecdf, grid: &[f64], model: &[f64]) -> f64 {
+    debug_assert!(grid.windows(2).all(|w| !(w[0] > w[1])), "ascending grid");
+    let sorted = golden.samples();
+    let n = sorted.len() as f64;
+    let mut below = 0;
     let mut sum = 0.0;
-    for k in 0..points {
-        let x = lo + (hi - lo) * k as f64 / (points - 1) as f64;
-        let d = model_cdf(x) - golden.cdf(x);
+    for (&x, &f) in grid.iter().zip(model) {
+        while below < sorted.len() && sorted[below] <= x {
+            below += 1;
+        }
+        let d = f - below as f64 / n;
         sum += d * d;
     }
-    (sum / points as f64).sqrt()
+    (sum / grid.len() as f64).sqrt()
 }
 
 /// Error reduction (Eq. 12): `|baseline − golden| / |result − golden|`,

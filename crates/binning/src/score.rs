@@ -4,27 +4,39 @@
 use lvf2_stats::{Distribution, Ecdf, StatsError};
 
 use crate::bins::BinSet;
-use crate::metrics::{binning_error, cdf_rmse, three_sigma_quantile_error, yield_3sigma_error};
+use crate::metrics::{binning_error, rmse_grid, rmse_on_grid, three_sigma_quantile_error};
 
 /// Pre-computed golden quantities shared across the four models scored on
-/// the same distribution (ECDF, bins, empirical bin probabilities).
+/// the same distribution (ECDF, bins, empirical bin probabilities, and the
+/// moments the 3σ yield point and the RMSE grid are placed by).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoldenReference {
     ecdf: Ecdf,
     bins: BinSet,
     golden_probs: Vec<f64>,
+    /// Mean of the samples summed in sorted order, as
+    /// [`yield_3sigma_error`](crate::yield_3sigma_error) sums it.
+    sorted_mean: f64,
+    /// σ of the samples summed in sorted order, as
+    /// [`yield_3sigma_error`](crate::yield_3sigma_error) and
+    /// [`cdf_rmse`](crate::cdf_rmse) sum it.
+    sorted_sigma: f64,
 }
 
 impl GoldenReference {
     /// Builds the golden reference from Monte-Carlo samples, with the
     /// paper's eight σ-bins anchored at the sample moments.
     ///
+    /// The bins take the moments summed in sample order, the 3σ yield point
+    /// and the RMSE grid the moments summed in sorted order, as the
+    /// free-standing metrics do; each sum is taken once and kept.
+    ///
     /// # Errors
     ///
     /// Propagates [`StatsError`] for empty/NaN/zero-variance samples.
     pub fn from_samples(samples: &[f64]) -> Result<Self, StatsError> {
         let mean = lvf2_stats::sample_mean(samples);
-        let sd = lvf2_stats::sample_std(samples);
+        let sd = lvf2_stats::sample_std_about(samples, mean);
         if !(sd > 0.0) {
             return Err(StatsError::NotEnoughSamples {
                 got: samples.len(),
@@ -33,11 +45,16 @@ impl GoldenReference {
         }
         let ecdf = Ecdf::new(samples.to_vec())?;
         let bins = BinSet::sigma_bins(mean, sd);
-        let golden_probs = bins.probabilities_from_samples(samples);
+        let sorted = ecdf.samples();
+        let golden_probs = bins.probabilities_from_sorted(sorted);
+        let sorted_mean = lvf2_stats::sample_mean(sorted);
+        let sorted_sigma = lvf2_stats::sample_std_about(sorted, sorted_mean);
         Ok(GoldenReference {
             ecdf,
             bins,
             golden_probs,
+            sorted_mean,
+            sorted_sigma,
         })
     }
 
@@ -85,6 +102,9 @@ impl ModelScore {
 /// Number of grid points used for the CDF RMSE.
 const RMSE_POINTS: usize = 256;
 
+/// Bin edges of a golden reference: the seven of [`BinSet::sigma_bins`].
+const SIGMA_EDGES: usize = 7;
+
 /// Scores a fitted distribution against a golden reference.
 ///
 /// # Example
@@ -105,11 +125,25 @@ const RMSE_POINTS: usize = 256;
 /// # }
 /// ```
 pub fn score_model<D: Distribution>(model: &D, golden: &GoldenReference) -> ModelScore {
-    let model_probs = golden.bins.probabilities(|x| model.cdf(x));
+    // The bin edges and the 3σ point in one batch, then the RMSE grid in
+    // another; both grids are ascending, as the batches are fastest on.
+    let t3 = golden.sorted_mean + 3.0 * golden.sorted_sigma;
+    let mut points = [0.0; SIGMA_EDGES + 1];
+    points[..SIGMA_EDGES].copy_from_slice(golden.bins.boundaries());
+    points[SIGMA_EDGES] = t3;
+    let mut at = [0.0; SIGMA_EDGES + 1];
+    model.cdf_batch(&points, &mut at);
+    let model_probs = golden.bins.probabilities_at(&at[..SIGMA_EDGES]);
+
+    let mut grid = [0.0; RMSE_POINTS];
+    let mut model_cdf = [0.0; RMSE_POINTS];
+    rmse_grid(&golden.ecdf, golden.sorted_sigma, &mut grid);
+    model.cdf_batch(&grid, &mut model_cdf);
+
     ModelScore {
         binning_error: binning_error(&model_probs, &golden.golden_probs),
-        yield_3sigma_error: yield_3sigma_error(|x| model.cdf(x), &golden.ecdf),
-        cdf_rmse: cdf_rmse(|x| model.cdf(x), &golden.ecdf, RMSE_POINTS),
+        yield_3sigma_error: (at[SIGMA_EDGES] - golden.ecdf.cdf(t3)).abs(),
+        cdf_rmse: rmse_on_grid(&golden.ecdf, &grid, &model_cdf),
         three_sigma_q_error: three_sigma_quantile_error(model, &golden.ecdf),
     }
 }

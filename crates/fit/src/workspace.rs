@@ -128,8 +128,9 @@ impl FitWorkspace {
     /// [`EmPoints`] that EM runs on, its second. Every stage of a fit
     /// (k-means, initialization, EM, M-step) then sees the same sequence for
     /// any permutation of the input, so the fit depends only on the multiset
-    /// of samples. `f64::total_cmp` makes the order total — NaN cannot panic
-    /// here and is reported by the fitter's moment check — and places `−0.0`
+    /// of samples. The order is `f64::total_cmp`'s
+    /// ([`lvf2_stats::sort_total`]), which is total — NaN cannot panic here
+    /// and is reported by the fitter's moment check — and places `−0.0`
     /// before `+0.0`.
     ///
     /// Under the moments M-step, from [`GROUPED_MIN_SAMPLES`] samples on,
@@ -149,7 +150,9 @@ impl FitWorkspace {
         let mut counts = std::mem::take(&mut self.group_counts);
         sorted.clear();
         sorted.extend_from_slice(samples);
-        sorted.sort_unstable_by(f64::total_cmp);
+        // The cluster gather buffer is free until initialization; it holds
+        // the sort's second copy.
+        lvf2_stats::sort_total(&mut sorted, &mut self.cluster);
         if ones.len() < sorted.len() {
             ones.resize(sorted.len(), 1.0);
         }

@@ -392,9 +392,11 @@ impl JobRequest {
                 if samples.len() < 8 {
                     return Err(invalid("samples", "need at least 8 samples"));
                 }
+                // The same base with or without a `fit` object: the keys
+                // it holds override `FitConfig::fast()`.
                 let config = match job.get("fit") {
                     Some(v) => decode_fit(v)?,
-                    None => FitConfig::default(),
+                    None => FitConfig::fast(),
                 };
                 validate_fit(&config)?;
                 Ok(JobRequest::Fit(FitJob {
@@ -573,6 +575,21 @@ mod tests {
         };
         assert_eq!(b.edges, vec![1.0, 2.0]);
         assert!(decode(r#"{"type":"bin","samples":[1],"edges":[2,2]}"#).is_err());
+    }
+
+    #[test]
+    fn fit_job_without_a_fit_object_uses_the_same_base_as_an_empty_one() {
+        let samples = "[1,2,3,4,5,6,7,8]";
+        let bare = decode(&format!(r#"{{"type":"fit","samples":{samples}}}"#)).unwrap();
+        let empty = decode(&format!(
+            r#"{{"type":"fit","samples":{samples},"fit":{{}}}}"#
+        ))
+        .unwrap();
+        assert_eq!(bare, empty);
+        let JobRequest::Fit(f) = bare else {
+            panic!("wrong variant")
+        };
+        assert_eq!(f.config, FitConfig::fast());
     }
 
     #[test]

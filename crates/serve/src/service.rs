@@ -453,6 +453,26 @@ mod tests {
     }
 
     #[test]
+    fn fit_job_reply_is_the_same_with_or_without_an_empty_fit_object() {
+        // Two-peak samples, enough for the pair-mean EM of `fast()`.
+        let samples: Vec<String> = (0..600)
+            .map(|i| {
+                let u = (i as f64 + 0.5) / 600.0;
+                let peak = if i % 3 == 0 { 1.4 } else { 1.0 };
+                format!("{:?}", peak + 0.05 * (u - 0.5) + 0.01 * (7.0 * u).sin())
+            })
+            .collect();
+        let samples = samples.join(",");
+        let svc = service();
+        let reply = |text: String| svc.execute(&job(&text)).unwrap().0.to_json();
+        let bare = reply(format!(r#"{{"type":"fit","samples":[{samples}]}}"#));
+        let empty = reply(format!(
+            r#"{{"type":"fit","samples":[{samples}],"fit":{{}}}}"#
+        ));
+        assert_eq!(bare, empty);
+    }
+
+    #[test]
     fn invalidate_drops_selected_cells() {
         let svc = service();
         let req = job(r#"{"type":"characterize","cells":["INV","NAND2"],

@@ -1103,6 +1103,8 @@ mod tests {
         // best scored iterate; no drift bound covers either. An 800-sample
         // golden cannot rank those models: its P_viol has a standard error
         // of about 0.012 for COUT and is 0 for SUM.
+        // COUT's LVF² P_viol moved by one ulp (…0d54 → …0d55) when the
+        // skew-normal CDF moved to the vendored `exp` in Owen's T and Φ.
         const BEFORE: Pins = [
             (
                 "SUM",
@@ -1127,7 +1129,7 @@ mod tests {
             (
                 "COUT",
                 [0x3fbac2533a3c3554, 0x3f8bb99b3ef8f49c, 0x3fc06865c99e9a79],
-                [0x3fbac953271331de, 0x3f8bb086fe631cb3, 0x3fc0d92393c50d54],
+                [0x3fbac953271331de, 0x3f8bb086fe631cb3, 0x3fc0d92393c50d55],
                 0x3fc0a3d70a3d70a4,
             ),
         ];

@@ -116,8 +116,14 @@ pub fn sample_mean(xs: &[f64]) -> f64 {
 
 /// Biased (1/n) sample standard deviation.
 pub fn sample_std(xs: &[f64]) -> f64 {
-    let m = sample_mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
+    sample_std_about(xs, sample_mean(xs))
+}
+
+/// [`sample_std`] about an already computed `mean`, which must be
+/// [`sample_mean`]`(xs)` for the two to agree: callers that need both
+/// moments skip the second pass over `xs` for the mean.
+pub fn sample_std_about(xs: &[f64], mean: f64) -> f64 {
+    (xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
 /// Sample skewness (biased).
@@ -132,6 +138,104 @@ pub fn sample_kurtosis(xs: &[f64]) -> f64 {
     SampleMoments::from_samples(xs)
         .map(|m| m.excess_kurtosis)
         .unwrap_or(f64::NAN)
+}
+
+/// Inputs shorter than this sort by comparison in [`sort_total`]: below it
+/// the radix passes cost more than they save.
+const RADIX_MIN_LEN: usize = 256;
+
+/// Sorts `xs` ascending in [`f64::total_cmp`] order, with `scratch` as the
+/// second buffer (resized to `xs.len()`; it allocates only while its
+/// capacity grows).
+///
+/// One counting-sort pass on the top 11 key bits that differ
+/// between values (the key is the order-preserving integer image behind
+/// `total_cmp`), then one insertion sort, which only moves values within
+/// their bucket. A 2000-sample timing set puts at most about 17 values in
+/// a bucket; a set with a bucket above 64 sorts by
+/// comparison instead, so a clumped set stays `O(n log n)`. Values with
+/// equal keys are bit-identical, so the result is exactly
+/// `xs.sort_unstable_by(f64::total_cmp)`'s; short inputs take that path.
+///
+/// # Example
+///
+/// ```
+/// use lvf2_stats::sort_total;
+///
+/// let mut xs: Vec<f64> = (0..1000).map(|i| ((i * 7919) % 1000) as f64 - 500.5).collect();
+/// let mut want = xs.clone();
+/// want.sort_unstable_by(f64::total_cmp);
+/// sort_total(&mut xs, &mut Vec::new());
+/// assert_eq!(xs, want);
+/// ```
+pub fn sort_total(xs: &mut [f64], scratch: &mut Vec<f64>) {
+    if xs.len() < RADIX_MIN_LEN {
+        xs.sort_unstable_by(f64::total_cmp);
+        return;
+    }
+    let (mut and, mut or) = (u64::MAX, 0_u64);
+    for &x in xs.iter() {
+        let k = total_key(x);
+        and &= k;
+        or |= k;
+    }
+    // One past the highest key bit that differs between values.
+    let top = 64 - (and ^ or).leading_zeros();
+    if top == 0 {
+        return;
+    }
+    let bits = BUCKET_BITS.min(top);
+    let shift = top - bits;
+    let mask = (1_u64 << bits) - 1;
+    let bucket = |x: f64| ((total_key(x) >> shift) & mask) as usize;
+
+    let mut starts = [0_usize; 1 << BUCKET_BITS];
+    let starts = &mut starts[..1 << bits];
+    for &x in xs.iter() {
+        starts[bucket(x)] += 1;
+    }
+    if starts.iter().any(|&count| count > INSERTION_MAX) {
+        xs.sort_unstable_by(f64::total_cmp);
+        return;
+    }
+    let mut start = 0;
+    for slot in starts.iter_mut() {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    scratch.clear();
+    scratch.resize(xs.len(), 0.0);
+    for &x in xs.iter() {
+        let b = bucket(x);
+        scratch[starts[b]] = x;
+        starts[b] += 1;
+    }
+    for (i, &x) in scratch.iter().enumerate() {
+        let k = total_key(x);
+        let mut j = i;
+        while j > 0 && total_key(xs[j - 1]) > k {
+            xs[j] = xs[j - 1];
+            j -= 1;
+        }
+        xs[j] = x;
+    }
+}
+
+/// Key bits of the [`sort_total`] bucket pass: 2¹¹ bucket counters fill
+/// 16 KiB, which stays in L1 next to a few thousand samples.
+const BUCKET_BITS: u32 = 11;
+
+/// Largest [`sort_total`] bucket the insertion sort takes: each value
+/// moves past at most this many others.
+const INSERTION_MAX: usize = 64;
+
+/// The integer image of `x` whose unsigned order is [`f64::total_cmp`]'s:
+/// positive values get the sign bit set, negative values are inverted.
+#[inline(always)]
+fn total_key(x: f64) -> u64 {
+    let b = x.to_bits();
+    b ^ (((b as i64 >> 63) as u64) | (1 << 63))
 }
 
 /// Empirical cumulative distribution function over a sorted copy of the data.
@@ -173,7 +277,7 @@ impl Ecdf {
                 value: f64::NAN,
             });
         }
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN after check"));
+        sort_total(&mut xs, &mut Vec::new());
         Ok(Ecdf { sorted: xs })
     }
 
@@ -321,6 +425,38 @@ impl Histogram {
 
 #[cfg(test)]
 mod tests {
+
+    #[test]
+    fn sort_total_matches_total_cmp_order() {
+        // Mixed signs, both zeros, infinities, NaNs of either sign, repeats
+        // and a narrow band sharing most key bytes, on both sides of the
+        // comparison-sort cut.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in [0, 1, 2, 255, 256, 257, 1000, 2000] {
+            let mut xs: Vec<f64> = (0..len)
+                .map(|i| match next() % 8 {
+                    0 => f64::from_bits(next()),
+                    1 => 0.1 + (next() % 1000) as f64 * 1e-6,
+                    2 => -0.0,
+                    3 => 0.0,
+                    4 => [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN][i % 4],
+                    _ => (next() % 200) as f64 - 100.0,
+                })
+                .collect();
+            let mut want = xs.clone();
+            want.sort_unstable_by(f64::total_cmp);
+            sort_total(&mut xs, &mut Vec::new());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&xs), bits(&want), "len {len}");
+        }
+    }
+
     use super::*;
 
     #[test]

@@ -37,7 +37,9 @@
 //! caller owns the full numeric contract: the fused `log Φ` path in
 //! [`special`](crate::special), and the EM E-step's log-sum-exp in
 //! `lvf2-fit` (`exp(−d)` of the gap between two component log-joints, `ln`
-//! of their normalizer). `erf`/`erfc`/`norm_cdf`/`owen_t` keep libm so their
+//! of their normalizer), and Owen's T in [`special`](crate::special), whose
+//! 32-node Gauss–Legendre sum runs on `exp_nonpositive` so the skew-normal
+//! CDF batch can vectorize it. `erf`/`erfc`/`norm_cdf` keep libm so their
 //! 1e-14-level golden tests are untouched.
 
 // The coefficient digits below are the exact published fdlibm/Cephes
@@ -222,6 +224,27 @@ fn fast_exp_cold(x: f64) -> f64 {
         f64::INFINITY
     } else {
         0.0
+    }
+}
+
+/// Exponents below this flush [`exp_nonpositive`] to 0: the edge of
+/// [`fast_exp_core`]'s domain.
+const EXP_FLUSH: f64 = -708.0;
+
+/// `exp(e)` for an exponent `e ≤ 0`: [`fast_exp_core`] on its domain, 0
+/// below −708 (and for −∞), NaN for NaN. Branch-free: the core runs on the
+/// clamped exponent and selects pick the flush and the NaN, so a lane loop
+/// over it vectorizes. The skew-normal pdf and Owen's T both call it.
+#[inline(always)]
+pub(crate) fn exp_nonpositive(e: f64) -> f64 {
+    let inside = e >= EXP_FLUSH;
+    let v = fast_exp_core(if inside { e } else { EXP_FLUSH });
+    if inside {
+        v
+    } else if e < EXP_FLUSH {
+        0.0
+    } else {
+        e
     }
 }
 

@@ -1,7 +1,8 @@
 //! Run-time build selection for the batched hot loops.
 //!
-//! The skew-normal [`ln_pdf_batch`](crate::Distribution::ln_pdf_batch) and
-//! [`pdf_batch`](crate::Distribution::pdf_batch), the EM E-step's
+//! The skew-normal [`ln_pdf_batch`](crate::Distribution::ln_pdf_batch),
+//! [`pdf_batch`](crate::Distribution::pdf_batch) and
+//! [`cdf_batch`](crate::Distribution::cdf_batch), the EM E-step's
 //! log-sum-exp in `lvf2-fit` and the statistical max's panel loop in
 //! `lvf2-ssta` each compile one chunk body twice: a portable build and an
 //! AVX2 build, picked per call by [`avx2_enabled`]. Neither build uses FMA

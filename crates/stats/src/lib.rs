@@ -22,10 +22,12 @@
 //! - empirical tools: sample moments, [`Ecdf`], histogram and quantiles;
 //! - quadrature: fixed-order Gauss–Legendre and adaptive Simpson;
 //! - one density API, [`Distribution`]: its `*_batch` methods are
-//!   bit-identical to the scalar ones. [`SkewNormal`] — the component the EM
-//!   and the SSTA max evaluate — overrides `ln_pdf_batch`/`pdf_batch` with a
-//!   vectorized chunk body, in a portable and an AVX2 build picked at run
-//!   time ([`kernels::avx2_enabled`]).
+//!   bit-identical to the scalar ones. [`SkewNormal`] — the component the EM,
+//!   the SSTA max and the binning scores evaluate — overrides
+//!   `ln_pdf_batch`/`pdf_batch`/`cdf_batch` with a vectorized chunk body, in
+//!   a portable and an AVX2 build picked at run time
+//!   ([`kernels::avx2_enabled`]); [`Lvf2`] and [`Norm2`] run `cdf_batch` on
+//!   their components' batches.
 //!
 //! # Example
 //!
@@ -63,8 +65,8 @@ pub mod special;
 pub mod traits;
 
 pub use empirical::{
-    ks_distance, sample_kurtosis, sample_mean, sample_skewness, sample_std, Ecdf, Histogram,
-    SampleMoments,
+    ks_distance, sample_kurtosis, sample_mean, sample_skewness, sample_std, sample_std_about,
+    sort_total, Ecdf, Histogram, SampleMoments,
 };
 pub use error::StatsError;
 pub use esn::ExtendedSkewNormal;

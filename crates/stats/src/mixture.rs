@@ -239,6 +239,10 @@ pub struct Lvf2 {
     second: SkewNormal,
 }
 
+/// Points per stack block of the second component's CDF in the
+/// two-component `cdf_batch`: one block covers a scoring grid.
+const CDF_BLOCK: usize = 256;
+
 macro_rules! two_component_impl {
     ($ty:ident, $comp:ty, $name:literal) => {
         impl $ty {
@@ -320,6 +324,22 @@ macro_rules! two_component_impl {
             #[inline]
             fn cdf(&self, x: f64) -> f64 {
                 (1.0 - self.lambda) * self.first.cdf(x) + self.lambda * self.second.cdf(x)
+            }
+
+            /// `(1−λ)·F₁ + λ·F₂` over the components' own batches, the
+            /// second in stack blocks of 256 points: the same
+            /// terms as the scalar `cdf`, so the same bits.
+            fn cdf_batch(&self, xs: &[f64], out: &mut [f64]) {
+                assert_eq!(xs.len(), out.len(), "cdf_batch: length mismatch");
+                self.first.cdf_batch(xs, out);
+                let mut second = [0.0; CDF_BLOCK];
+                for (x, o) in xs.chunks(CDF_BLOCK).zip(out.chunks_mut(CDF_BLOCK)) {
+                    let f2 = &mut second[..x.len()];
+                    self.second.cdf_batch(x, f2);
+                    for (o, f2) in o.iter_mut().zip(f2.iter()) {
+                        *o = (1.0 - self.lambda) * *o + self.lambda * f2;
+                    }
+                }
             }
 
             fn mean(&self) -> f64 {

@@ -1,13 +1,15 @@
 //! Numerical quadrature: fixed-order Gauss–Legendre rules and adaptive Simpson.
 //!
 //! These are the only integration tools the rest of the workspace uses; they
-//! back Owen's T, the extended-skew-normal CDF, the statistical max of
-//! `lvf2-ssta` (through [`gl32`]'s spectral integration matrix), and the
-//! moment integrals used in tests.
+//! back Owen's T (its node table in [`special`](crate::special) is built
+//! from the same 32-point rule, `GL32`, so the skew-normal CDF batch can
+//! sum it across points), the extended-skew-normal CDF, the statistical
+//! max of `lvf2-ssta` (through [`gl32`]'s spectral integration matrix), and
+//! the moment integrals used in tests.
 
 /// 32-point Gauss–Legendre nodes on `[0, 1]` (positive half of the 64 symmetric
 /// nodes on `[-1, 1]`, shifted). Stored as (node, weight) on `[-1, 1]`.
-const GL32: [(f64, f64); 16] = [
+pub(crate) const GL32: [(f64, f64); 16] = [
     (0.048_307_665_687_738_32, 0.0965400885147278),
     (0.144_471_961_582_796_5, 0.0956387200792749),
     (0.239_287_362_252_137_06, 0.0938443990808046),

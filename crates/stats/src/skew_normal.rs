@@ -11,13 +11,13 @@
 use rand::Rng;
 
 use crate::error::{ensure_finite, ensure_positive};
-use crate::fastmath::{fast_exp_core, fast_ln_core};
+use crate::fastmath::{exp_nonpositive, fast_ln_core};
 use crate::kernels::LANES;
 use crate::moments::Moments;
 use crate::sampling::standard_normal;
 use crate::special::{
-    log_norm_cdf, log_phi_parts_chunk, log_phi_parts_in, log_phi_regime, norm_cdf, owen_t,
-    INV_SQRT_2PI, SQRT_2,
+    log_norm_cdf, log_phi_parts_in, log_phi_parts_lanes, log_phi_regime, owen_t_reflected,
+    phi_lanes, phi_vendored, OwenNodes, INV_SQRT_2PI, SQRT_2,
 };
 use crate::traits::Distribution;
 use crate::StatsError;
@@ -177,6 +177,14 @@ impl SkewNormal {
     pub fn pdf_batch_portable(&self, xs: &[f64], out: &mut [f64]) {
         pdf_chunks(self, xs, out);
     }
+
+    /// The portable build of [`cdf_batch`](Distribution::cdf_batch), which
+    /// the dispatcher runs on hosts without AVX2. Public only so the
+    /// equivalence tests can pin both builds to the same bits.
+    #[doc(hidden)]
+    pub fn cdf_batch_portable(&self, xs: &[f64], out: &mut [f64]) {
+        cdf_chunks(self, xs, out);
+    }
 }
 
 impl Default for SkewNormal {
@@ -213,11 +221,25 @@ impl Distribution for SkewNormal {
         ln_pdf_at(self.ln_c(), self.standardize(x), self.alpha)
     }
 
-    /// `F(x) = Φ(z) − 2·T(z, α)` with Owen's T.
+    /// `F(x) = Φ(z) − 2·T(z, α)` with Owen's T, through the same
+    /// per-component node table and arithmetic as
+    /// [`cdf_batch`](Distribution::cdf_batch), so both return the same bits.
     #[inline]
     fn cdf(&self, x: f64) -> f64 {
-        let z = self.standardize(x);
-        (norm_cdf(z) - 2.0 * owen_t(z, self.alpha)).clamp(0.0, 1.0)
+        CdfNodes::new(self.alpha).at(self.standardize(x))
+    }
+
+    /// Dispatches like [`ln_pdf_batch`](Distribution::ln_pdf_batch): the
+    /// AVX2 build of the chunk body when the host has AVX2, else the
+    /// portable build; same source, same bits.
+    fn cdf_batch(&self, xs: &[f64], out: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if crate::kernels::avx2_enabled() {
+            // SAFETY: the host supports AVX2 (checked just above), the only
+            // target feature `cdf_avx2` enables.
+            return unsafe { cdf_avx2(self, xs, out) };
+        }
+        cdf_chunks(self, xs, out);
     }
 
     /// Dispatches to the AVX2 build of the chunk body when the host has
@@ -277,26 +299,6 @@ impl Distribution for SkewNormal {
     }
 }
 
-/// Exponents below this flush the pdf's `exp` to 0: the edge of
-/// [`fast_exp_core`]'s domain.
-const EXP_FLUSH: f64 = -708.0;
-
-/// `exp(e)` for an exponent `e ≤ 0`: [`fast_exp_core`] on its domain, 0
-/// below −708 (and for −∞), NaN for NaN. Branch-free: the core runs on the
-/// clamped exponent and selects pick the flush and the NaN.
-#[inline(always)]
-fn exp_nonpositive(e: f64) -> f64 {
-    let inside = e >= EXP_FLUSH;
-    let v = fast_exp_core(if inside { e } else { EXP_FLUSH });
-    if inside {
-        v
-    } else if e < EXP_FLUSH {
-        0.0
-    } else {
-        e
-    }
-}
-
 /// The pdf from the `log Φ(αz)` parts `(q, t²)`:
 /// `c·φ(z)·Φ(αz)·√(2π) = c·q·exp(−z²/2 − t²)` with `c = (2/ω)·(1/√2π)`, one
 /// `exp` per point and no `erfc` (`q` is a rational or asymptotic term).
@@ -325,34 +327,18 @@ fn pdf_at(c: f64, z: f64, alpha: f64) -> f64 {
 }
 
 /// The `log Φ(αz)` parts of one chunk, shared by both chunk bodies: per
-/// lane the standardized `z` and `(q, t²)` with `log Φ(αz) = ln q − t²`.
-/// The first lane loop standardizes, computes `t = −αz/√2` once per lane
-/// and classifies the lane's `log Φ` regime ([`log_phi_regime`]). On sorted
-/// input `αz` is monotone, so nearly every chunk is regime-uniform and runs
-/// that regime's formula as one branch-free lane loop
-/// ([`log_phi_parts_chunk`]); a mixed chunk evaluates per lane.
+/// lane the standardized `z` and `(q, t²)` with `log Φ(αz) = ln q − t²`
+/// ([`log_phi_parts_lanes`]: regime-uniform chunks, which sorted input
+/// makes of nearly all, run one branch-free lane loop).
 #[inline(always)]
 fn parts_chunk(sn: &SkewNormal, x8: &[f64]) -> ([f64; LANES], [f64; LANES], [f64; LANES]) {
     let mut z = [0.0_f64; LANES];
     let mut a = [0.0_f64; LANES];
-    let mut t = [0.0_f64; LANES];
-    let mut code = [0_u8; LANES];
     for i in 0..LANES {
         z[i] = (x8[i] - sn.xi) / sn.omega;
         a[i] = sn.alpha * z[i];
-        t[i] = -a[i] / SQRT_2;
-        code[i] = log_phi_regime(a[i], t[i]);
     }
-    let mut q = [0.0_f64; LANES];
-    let mut tt = [0.0_f64; LANES];
-    let mixed = code.iter().fold(0_u8, |m, &c| m | (c ^ code[0]));
-    if mixed == 0 {
-        log_phi_parts_chunk(code[0], &a, &t, &mut q, &mut tt);
-    } else {
-        for i in 0..LANES {
-            (q[i], tt[i]) = log_phi_parts_in(code[i], a[i], t[i]);
-        }
-    }
+    let (q, tt) = log_phi_parts_lanes(&a);
     (z, q, tt)
 }
 
@@ -397,6 +383,121 @@ fn pdf_chunks(sn: &SkewNormal, xs: &[f64], out: &mut [f64]) {
     for (x, o) in xc.remainder().iter().zip(oc.into_remainder()) {
         *o = pdf_at(pdf_c, sn.standardize(*x), sn.alpha);
     }
+}
+
+/// The skew-normal CDF `F(z) = Φ(z) − 2·T(z, α)` of one component: Owen's
+/// T node table ([`OwenNodes`], one division per node, built once per call)
+/// and the form of `T` that `α` selects. For `|α| ≤ 1` it is the node sum
+/// on `[0, |α|]` at `h² = z²` (0 for `α = 0`); for `|α| > 1` the reflection
+/// `T = ½[Φ(h) + Φ(|α|h)] − Φ(h)Φ(|α|h) − T(|α|h, 1/|α|)` with `h = |z|`,
+/// the node sum on `[0, 1/|α|]` at `h² = (|α|h)²`.
+///
+/// A point splits into its normal CDFs `Φ(z)`, `Φ(|z|)`, `Φ(|α||z|)` (from
+/// the `log Φ` parts on the vendored `exp`, [`phi_vendored`]), the node sum
+/// and a few flops ([`finish`](Self::finish)). The scalar [`at`](Self::at)
+/// and the chunk body run these same steps, so they return the same bits;
+/// the result agrees with `norm_cdf(z) − 2·owen_t(z, α)` to a few ulps.
+struct CdfNodes {
+    owen: OwenNodes,
+    reflected: bool,
+    alpha_abs: f64,
+    sign: f64,
+}
+
+impl CdfNodes {
+    fn new(alpha: f64) -> Self {
+        let alpha_abs = alpha.abs();
+        let reflected = alpha_abs > 1.0;
+        CdfNodes {
+            owen: OwenNodes::new(if reflected {
+                1.0 / alpha_abs
+            } else {
+                alpha_abs
+            }),
+            reflected,
+            alpha_abs,
+            sign: if alpha < 0.0 { -1.0 } else { 1.0 },
+        }
+    }
+
+    /// `F` from a point's normal CDFs and its node sum `s` (the reflected
+    /// terms are unused for `|α| ≤ 1`).
+    #[inline(always)]
+    fn finish(&self, phi_z: f64, phi_h: f64, phi_ah: f64, s: f64) -> f64 {
+        let t = if self.reflected {
+            owen_t_reflected(phi_h, phi_ah, s)
+        } else {
+            s
+        };
+        (phi_z - 2.0 * (self.sign * t)).clamp(0.0, 1.0)
+    }
+
+    /// `F` at the standardized point `z`. `Φ(|z|)` reuses `Φ(z)` for
+    /// `z ≥ 0`, where the argument is the same.
+    #[inline(always)]
+    fn at(&self, z: f64) -> f64 {
+        let phi_z = phi_vendored(z);
+        if self.reflected {
+            let h = z.abs();
+            let ah = self.alpha_abs * h;
+            let phi_h = if z >= 0.0 { phi_z } else { phi_vendored(h) };
+            self.finish(phi_z, phi_h, phi_vendored(ah), self.owen.sum(ah * ah))
+        } else {
+            self.finish(phi_z, 0.0, 0.0, self.owen.sum(z * z))
+        }
+    }
+
+    /// [`at`](Self::at) for every lane of `z`: the normal CDFs and the node
+    /// sum each run as lane loops ([`phi_lanes`],
+    /// [`OwenNodes::sum_lanes`]).
+    #[inline(always)]
+    fn at_lanes(&self, z: &[f64; LANES]) -> [f64; LANES] {
+        let phi_z = phi_lanes(z);
+        let mut f = [0.0_f64; LANES];
+        if self.reflected {
+            let h = z.map(f64::abs);
+            let ah = h.map(|h| self.alpha_abs * h);
+            let (phi_h, phi_ah) = (phi_lanes(&h), phi_lanes(&ah));
+            let s = self.owen.sum_lanes(&ah.map(|ah| ah * ah));
+            for i in 0..LANES {
+                f[i] = self.finish(phi_z[i], phi_h[i], phi_ah[i], s[i]);
+            }
+        } else {
+            let s = self.owen.sum_lanes(&z.map(|z| z * z));
+            for i in 0..LANES {
+                f[i] = self.finish(phi_z[i], 0.0, 0.0, s[i]);
+            }
+        }
+        f
+    }
+}
+
+/// Chunk body of `cdf_batch`: [`CdfNodes::at_lanes`] per chunk, the scalar
+/// [`CdfNodes::at`] on the remainder. Bit-identical to the scalar `cdf`,
+/// which runs the same steps per point.
+#[inline(always)]
+fn cdf_chunks(sn: &SkewNormal, xs: &[f64], out: &mut [f64]) {
+    assert_eq!(xs.len(), out.len(), "cdf_batch: length mismatch");
+    let nodes = CdfNodes::new(sn.alpha);
+    let mut xc = xs.chunks_exact(LANES);
+    let mut oc = out.chunks_exact_mut(LANES);
+    for (x8, o8) in xc.by_ref().zip(oc.by_ref()) {
+        let mut z = [0.0_f64; LANES];
+        for i in 0..LANES {
+            z[i] = sn.standardize(x8[i]);
+        }
+        o8.copy_from_slice(&nodes.at_lanes(&z));
+    }
+    for (x, o) in xc.remainder().iter().zip(oc.into_remainder()) {
+        *o = nodes.at(sn.standardize(*x));
+    }
+}
+
+/// The AVX2 build of [`cdf_chunks`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn cdf_avx2(sn: &SkewNormal, xs: &[f64], out: &mut [f64]) {
+    cdf_chunks(sn, xs, out);
 }
 
 /// The AVX2 build of [`ln_pdf_chunks`].

@@ -7,8 +7,8 @@
 //! far below the statistical noise of the 50k-sample Monte Carlo experiments
 //! this library targets.
 
-use crate::fastmath::{fast_exp_core, fast_ln};
-use crate::quad::gauss_legendre_32;
+use crate::fastmath::{exp_nonpositive, fast_exp_core, fast_ln};
+use crate::quad::GL32;
 
 /// √(2π).
 pub const SQRT_2PI: f64 = 2.506_628_274_631_000_5;
@@ -355,11 +355,70 @@ pub(crate) fn log_phi_parts_in(code: u8, x: f64, t: f64) -> (f64, f64) {
     }
 }
 
+/// [`log_norm_cdf_parts`] of every lane of `x`. The first lane loop
+/// computes `t = −x/√2` and classifies each lane's regime
+/// ([`log_phi_regime`]). On sorted input `x` is monotone, so nearly every
+/// chunk is regime-uniform and runs that regime's formula as one
+/// branch-free lane loop ([`log_phi_parts_chunk`]); a mixed chunk evaluates
+/// per lane. Bit-identical to the scalar parts either way.
+#[inline(always)]
+pub(crate) fn log_phi_parts_lanes(x: &[f64; LANES]) -> ([f64; LANES], [f64; LANES]) {
+    let mut t = [0.0_f64; LANES];
+    let mut code = [0_u8; LANES];
+    for i in 0..LANES {
+        t[i] = -x[i] / SQRT_2;
+        code[i] = log_phi_regime(x[i], t[i]);
+    }
+    let mut q = [0.0_f64; LANES];
+    let mut tt = [0.0_f64; LANES];
+    let mixed = code.iter().fold(0_u8, |m, &c| m | (c ^ code[0]));
+    if mixed == 0 {
+        log_phi_parts_chunk(code[0], x, &t, &mut q, &mut tt);
+    } else {
+        for i in 0..LANES {
+            (q[i], tt[i]) = log_phi_parts_in(code[i], x[i], t[i]);
+        }
+    }
+    (q, tt)
+}
+
+/// `Φ(x) = q·exp(−t²)` from its `log Φ` parts ([`log_norm_cdf_parts`]), on
+/// the vendored [`exp_nonpositive`]. Where `t² = 0` (every `x > −0.663`)
+/// the factor is exactly 1 and `q` is `Φ` itself, with the formula of
+/// [`norm_cdf`] on the vendored `exp`; below, `q·exp(−t²)` regroups its
+/// `½·exp(−t²)·R(t)`. So it stays within a few ulps of `norm_cdf`, and
+/// within 1e-21 absolute below `x = −8`, where the parts come from the
+/// asymptotic series. The skew-normal CDF evaluates its normal CDFs this
+/// way, per point and across a chunk's lanes alike.
+#[inline(always)]
+pub(crate) fn phi_from_parts(q: f64, tt: f64) -> f64 {
+    q * exp_nonpositive(-tt)
+}
+
+/// `Φ(x)` through [`log_norm_cdf_parts`] and [`phi_from_parts`].
+#[inline(always)]
+pub(crate) fn phi_vendored(x: f64) -> f64 {
+    let (q, tt) = log_norm_cdf_parts(x);
+    phi_from_parts(q, tt)
+}
+
+/// [`phi_vendored`] of every lane of `x`, bit-identical to the scalar form
+/// ([`log_phi_parts_lanes`], then one branch-free `exp` lane loop).
+#[inline(always)]
+pub(crate) fn phi_lanes(x: &[f64; LANES]) -> [f64; LANES] {
+    let (q, tt) = log_phi_parts_lanes(x);
+    let mut phi = [0.0_f64; LANES];
+    for i in 0..LANES {
+        phi[i] = phi_from_parts(q[i], tt[i]);
+    }
+    phi
+}
+
 /// [`log_phi_parts_in`] over a whole chunk whose lanes all sit in regime
 /// `code`: one branch-free lane loop of that regime's formula, which the
 /// compiler vectorizes. Bit-identical to the per-lane form.
 #[inline(always)]
-pub(crate) fn log_phi_parts_chunk(
+fn log_phi_parts_chunk(
     code: u8,
     x: &[f64; LANES],
     t: &[f64; LANES],
@@ -440,7 +499,8 @@ fn log_phi_asymptotic(x: f64) -> (f64, f64) {
 }
 
 /// Chunk width of the batched lane loops: the `log Φ` regime chunks behind
-/// the skew-normal `ln_pdf_batch`/`pdf_batch`, and the EM E-step.
+/// the skew-normal `ln_pdf_batch`/`pdf_batch`/`cdf_batch`, the Owen's T node
+/// loop of its `cdf_batch`, and the EM E-step.
 ///
 /// Eight f64 lanes fill two AVX2 registers (or one AVX-512 register); the
 /// fixed-width inner loops carry no cross-iteration dependency, so the
@@ -553,7 +613,8 @@ pub fn min_tail_probability(n: usize) -> f64 {
 /// Needed by the skew-normal CDF: `F_SN(z; α) = Φ(z) − 2·T(z, α)`.
 /// Uses the symmetry `T(h, a) = T(−h, a) = −T(h, −a)` and, for `|a| > 1`,
 /// the reduction `T(h, a) = ½[Φ(h) + Φ(ah)] − Φ(h)Φ(ah) − T(ah, 1/a)`,
-/// then 32-point Gauss–Legendre on `[0, a≤1]` (integrand is smooth there).
+/// then 32-point Gauss–Legendre on `[0, a≤1]` (integrand is smooth there),
+/// summed from a per-`a` node table on the vendored `exp`.
 ///
 /// # Example
 ///
@@ -574,31 +635,92 @@ pub fn owen_t(h: f64, a: f64) -> f64 {
     let h = h.abs();
     let (sign, a) = if a < 0.0 { (-1.0, -a) } else { (1.0, a) };
     let t = if a <= 1.0 {
-        owen_t_core(h, a)
+        OwenNodes::new(a).sum(h * h)
     } else if a.is_infinite() {
         // T(h, ∞) = ½ Φ(−|h|)
         0.5 * norm_cdf(-h)
     } else {
         let ah = a * h;
-        let phi_h = norm_cdf(h);
-        let phi_ah = norm_cdf(ah);
-        0.5 * (phi_h + phi_ah) - phi_h * phi_ah - owen_t_core(ah, 1.0 / a)
+        owen_t_reflected(
+            norm_cdf(h),
+            norm_cdf(ah),
+            OwenNodes::new(1.0 / a).sum(ah * ah),
+        )
     };
     sign * t
 }
 
-/// Gauss–Legendre evaluation of the defining integral for `0 ≤ a ≤ 1`, `h ≥ 0`.
-fn owen_t_core(h: f64, a: f64) -> f64 {
-    debug_assert!((0.0..=1.0).contains(&a) && h >= 0.0);
-    if a == 0.0 {
-        return 0.0;
+/// The `|a| > 1` reduction `T(h, a) = ½[Φ(h) + Φ(ah)] − Φ(h)Φ(ah) − T(ah, 1/a)`
+/// from its three terms; shared by [`owen_t`] and the skew-normal CDF.
+#[inline(always)]
+pub(crate) fn owen_t_reflected(phi_h: f64, phi_ah: f64, t_inv: f64) -> f64 {
+    0.5 * (phi_h + phi_ah) - phi_h * phi_ah - t_inv
+}
+
+/// Owen's T on `[0, a]`, `0 ≤ a ≤ 1`, for one fixed `a`: the 32-point
+/// Gauss–Legendre sum of the defining integral with everything that does
+/// not depend on `h` precomputed.
+///
+/// At node `xₖ` the integrand is `exp(h²·eₖ)·wₖ/(1+xₖ²)` with
+/// `eₖ = −½(1+xₖ²)`, so a point costs one `exp`, one multiply and one add
+/// per node and no division. The `exp` is [`exp_nonpositive`] (branch-free
+/// flushing below −708), so the skew-normal CDF batch runs the node loop
+/// across [`LANES`] points at once; every caller adds the terms in node
+/// order, so a lane and a scalar call return the same bits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OwenNodes {
+    /// `eₖ = −½(1+xₖ²)`.
+    expo: [f64; 32],
+    /// `wₖ/(1+xₖ²)`.
+    weight: [f64; 32],
+    /// Half the interval over 2π: `(a/2)/(2π)`.
+    scale: f64,
+}
+
+impl OwenNodes {
+    /// The node table of `T(·, a)` for `0 ≤ a ≤ 1`.
+    pub(crate) fn new(a: f64) -> Self {
+        debug_assert!((0.0..=1.0).contains(&a), "OwenNodes: a = {a}");
+        let c = 0.5 * a;
+        let mut expo = [0.0; 32];
+        let mut weight = [0.0; 32];
+        for (k, &(x, w)) in GL32.iter().enumerate() {
+            for (j, node) in [c + c * x, c - c * x].into_iter().enumerate() {
+                let d = 1.0 + node * node;
+                expo[2 * k + j] = -0.5 * d;
+                weight[2 * k + j] = w / d;
+            }
+        }
+        OwenNodes {
+            expo,
+            weight,
+            scale: c / (2.0 * std::f64::consts::PI),
+        }
     }
-    let h2 = h * h;
-    let f = |x: f64| {
-        let d = 1.0 + x * x;
-        (-0.5 * h2 * d).exp() / d
-    };
-    gauss_legendre_32(f, 0.0, a) / (2.0 * std::f64::consts::PI)
+
+    /// `T(h, a)` for `h² = h2`, summing the nodes in order.
+    #[inline(always)]
+    pub(crate) fn sum(&self, h2: f64) -> f64 {
+        let mut acc = 0.0;
+        for (e, w) in self.expo.iter().zip(&self.weight) {
+            acc += w * exp_nonpositive(h2 * e);
+        }
+        acc * self.scale
+    }
+
+    /// [`sum`](Self::sum) for each lane of `h2`: the same terms in the same
+    /// order per lane, with the node loop outside so the lane loop
+    /// vectorizes.
+    #[inline(always)]
+    pub(crate) fn sum_lanes(&self, h2: &[f64; LANES]) -> [f64; LANES] {
+        let mut acc = [0.0; LANES];
+        for (e, w) in self.expo.iter().zip(&self.weight) {
+            for i in 0..LANES {
+                acc[i] += w * exp_nonpositive(h2[i] * e);
+            }
+        }
+        acc.map(|a| a * self.scale)
+    }
 }
 
 #[cfg(test)]

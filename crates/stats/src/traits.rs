@@ -8,7 +8,7 @@ use crate::moments::{FourMoments, Moments};
 /// needs: density, log-density, CDF, quantile, analytic moments and sampling.
 ///
 /// The default [`quantile`](Distribution::quantile) inverts the CDF by
-/// bracketed bisection seeded from the mean and standard deviation, so
+/// safeguarded Newton seeded from the mean and standard deviation, so
 /// implementors only *must* provide `pdf`, `cdf`, the four moments and
 /// `sample`.
 ///
@@ -40,10 +40,13 @@ pub trait Distribution {
     /// Batched [`ln_pdf`](Self::ln_pdf): `out[i] = ln f(xs[i])`.
     ///
     /// The default loops over the scalar method. An implementation that
-    /// overrides this (in this crate only [`SkewNormal`](crate::SkewNormal),
-    /// with a vectorized chunk body) **must** keep every `out[i]`
-    /// bit-identical to the scalar call — batching is a pure layout/constant
-    /// hoisting optimization, never a numerical one.
+    /// overrides a batch **must** keep every `out[i]` bit-identical to the
+    /// scalar call — batching is a pure layout/constant hoisting
+    /// optimization, never a numerical one. In this crate
+    /// [`SkewNormal`](crate::SkewNormal) overrides all three batches with a
+    /// vectorized chunk body, and the two-component mixtures
+    /// ([`Lvf2`](crate::Lvf2), [`Norm2`](crate::Norm2)) override
+    /// [`cdf_batch`](Self::cdf_batch) to run their components' batches.
     ///
     /// # Panics
     ///
@@ -116,8 +119,18 @@ pub trait Distribution {
         )
     }
 
-    /// Quantile `F⁻¹(p)`: the default bisects the CDF on a bracket expanded
+    /// Quantile `F⁻¹(p)`: the default runs safeguarded Newton on the CDF,
+    /// stepping by the pdf from `mean + σ·Φ⁻¹(p)` inside a bracket expanded
     /// from `mean ± k·σ`.
+    ///
+    /// A Newton step that leaves the bracket, or that shrinks the step less
+    /// than half as fast as the one before, is replaced by bisection, so
+    /// the search converges for any pdf (a few steps when the pdf is the
+    /// CDF's derivative). It stops once a step is below `1e-12·σ` — Newton
+    /// converges quadratically, so the point it returns is as close to the
+    /// root as the CDF's own rounding resolves — when the CDF hits `p`
+    /// exactly or the Newton step rounds away, or when the bracket cannot be
+    /// split further.
     ///
     /// Returns NaN for `p` outside `[0, 1]`, and `±∞` at the endpoints for
     /// distributions with unbounded support.
@@ -150,19 +163,38 @@ pub trait Distribution {
             hi = m + k * s;
             k *= 2.0;
         }
-        // Bisection: 100 iterations gives ~2^-100 of the bracket width.
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if mid <= lo || mid >= hi {
-                break;
-            }
-            if self.cdf(mid) < p {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
+        let mut x = m + s * crate::special::norm_quantile(p);
+        if !(x > lo && x < hi) {
+            x = 0.5 * (lo + hi);
         }
-        0.5 * (lo + hi)
+        let mut last_step = hi - lo;
+        for _ in 0..200 {
+            let f = self.cdf(x) - p;
+            if f == 0.0 {
+                return x;
+            } else if f < 0.0 {
+                lo = x;
+            } else {
+                hi = x;
+            }
+            let d = self.pdf(x);
+            let newton = x - f / d;
+            if newton == x {
+                // The step is below x's resolution: x is the root.
+                return x;
+            }
+            let next = if newton > lo && newton < hi && (2.0 * f).abs() <= (last_step * d).abs() {
+                newton
+            } else {
+                0.5 * (lo + hi)
+            };
+            last_step = (next - x).abs();
+            if last_step <= 1e-12 * s || next <= lo || next >= hi {
+                return next;
+            }
+            x = next;
+        }
+        x
     }
 
     /// Draws `n` samples into a fresh vector.
@@ -190,6 +222,42 @@ mod tests {
         }
         assert!(n.quantile(-0.1).is_nan());
         assert!(n.quantile(1.0).is_infinite());
+    }
+
+    #[test]
+    fn default_quantile_inverts_a_bimodal_mixture() {
+        // Two well-separated peaks: the Newton start `mean + σ·Φ⁻¹(p)` sits
+        // in the valley between them for central p, where the pdf is small
+        // and the safeguard has to bisect.
+        use crate::{Lvf2, Moments, SkewNormal};
+        let d = Lvf2::new(
+            0.4,
+            SkewNormal::from_moments(Moments::new(1.0, 0.03, 0.6)).unwrap(),
+            SkewNormal::from_moments(Moments::new(1.5, 0.05, -0.4)).unwrap(),
+        )
+        .unwrap();
+        let mut prev = f64::NEG_INFINITY;
+        for p in [
+            1e-12,
+            1e-6,
+            0.01,
+            0.3,
+            0.55,
+            0.6,
+            0.61,
+            0.9,
+            0.99865,
+            1.0 - 1e-9,
+        ] {
+            let q = d.quantile(p);
+            assert!(q > prev, "p={p}: {q} not above {prev}");
+            assert!(
+                (d.cdf(q) - p).abs() <= 1e-13 * p.max(1e-3),
+                "p={p}: F(q)={}",
+                d.cdf(q)
+            );
+            prev = q;
+        }
     }
 
     #[test]

@@ -17,8 +17,14 @@
 //! reversed and shuffled inputs, on chunks straddling every `log Φ` regime
 //! edge, and on NaN/±∞ lanes. The `pdf_builds_*` tests pin the skew-normal
 //! `pdf_batch` the same way, and also where its exponent `−z²/2 − t²`
-//! crosses the −708 flush to zero.
+//! crosses the −708 flush to zero. The `cdf_builds_*` tests pin the
+//! skew-normal `cdf_batch` (Owen's T node loop across the lanes) and the
+//! two-component `cdf_batch` of [`Lvf2`] and [`Norm2`] to the scalar `cdf`
+//! in both builds, at every shape `α` where Owen's T changes form (0, ±1
+//! and an ulp either side) and out to `|z| = 40`, where its exponent
+//! flushes to zero.
 
+use lvf2_stats::kernels::LANES;
 use lvf2_stats::{Distribution, Lvf2, Mixture, Moments, Norm2, Normal, SkewNormal};
 use proptest::prelude::*;
 
@@ -152,6 +158,82 @@ fn assert_pdf_builds_agree(sn: &SkewNormal, xs: &[f64]) -> Result<(), TestCaseEr
     Ok(())
 }
 
+/// Asserts the portable build, the dispatched build and the scalar `cdf`
+/// of `sn` agree bit-for-bit on `xs` (any two NaNs are equal).
+fn assert_cdf_builds_agree(sn: &SkewNormal, xs: &[f64]) -> Result<(), TestCaseError> {
+    let mut portable = vec![0.0; xs.len()];
+    let mut dispatched = vec![0.0; xs.len()];
+    sn.cdf_batch_portable(xs, &mut portable);
+    sn.cdf_batch(xs, &mut dispatched);
+    for (i, &x) in xs.iter().enumerate() {
+        let s = sn.cdf(x);
+        prop_assert!(
+            same_bits(portable[i], s),
+            "portable cdf mismatch at i={} x={} α={}: {} vs scalar {}",
+            i,
+            x,
+            sn.alpha(),
+            portable[i],
+            s
+        );
+        prop_assert!(
+            same_bits(dispatched[i], s),
+            "dispatched cdf mismatch at i={} x={} α={}: {} vs scalar {}",
+            i,
+            x,
+            sn.alpha(),
+            dispatched[i],
+            s
+        );
+    }
+    Ok(())
+}
+
+/// Asserts the LVF² `cdf_batch` (dispatched), the same mixture over its
+/// components' portable builds, and the scalar `cdf` agree bit-for-bit.
+fn assert_lvf2_cdf_builds_agree(d: &Lvf2, xs: &[f64]) -> Result<(), TestCaseError> {
+    let mut dispatched = vec![0.0; xs.len()];
+    let mut first = vec![0.0; xs.len()];
+    let mut second = vec![0.0; xs.len()];
+    d.cdf_batch(xs, &mut dispatched);
+    d.first().cdf_batch_portable(xs, &mut first);
+    d.second().cdf_batch_portable(xs, &mut second);
+    let lambda = d.lambda();
+    for (i, &x) in xs.iter().enumerate() {
+        let s = d.cdf(x);
+        let portable = (1.0 - lambda) * first[i] + lambda * second[i];
+        prop_assert!(
+            same_bits(portable, s),
+            "portable LVF2 cdf mismatch at i={} x={}: {} vs scalar {}",
+            i,
+            x,
+            portable,
+            s
+        );
+        prop_assert!(
+            same_bits(dispatched[i], s),
+            "dispatched LVF2 cdf mismatch at i={} x={}: {} vs scalar {}",
+            i,
+            x,
+            dispatched[i],
+            s
+        );
+    }
+    Ok(())
+}
+
+/// The shapes where the skew-normal CDF's Owen's T changes form — `α = 0`
+/// (none), `|α| ≤ 1` (direct), `|α| > 1` (reflected) — with an ulp either
+/// side of ±1, plus a moderate and a steep shape.
+fn cdf_shapes() -> Vec<f64> {
+    let one = 1.0_f64;
+    let mut alphas = vec![0.0];
+    for a in [one.next_down(), one, one.next_up(), 3.0, 60.0] {
+        alphas.extend([a, -a]);
+    }
+    alphas
+}
+
 /// Fisher–Yates shuffle driven by a 64-bit LCG, so a proptest seed picks
 /// the permutation.
 fn shuffle(xs: &mut [f64], mut seed: u64) {
@@ -194,6 +276,41 @@ proptest! {
         assert_pdf_builds_agree(&sn, &xs)?;
         shuffle(&mut xs, seed);
         assert_pdf_builds_agree(&sn, &xs)?;
+    }
+
+    #[test]
+    fn skew_normal_cdf_builds_agree_on_sorted_reversed_and_shuffled_input(
+        alpha in -60.0..60.0f64,
+        omega in 0.01..2.0f64,
+        zs in proptest::collection::vec(-40.0..40.0f64, 0..300),
+        seed in 0u64..1_000_000,
+    ) {
+        let sn = SkewNormal::new(0.3, omega, alpha).expect("valid");
+        let mut xs = probe_points(sn.xi(), omega, &zs);
+        xs.sort_by(f64::total_cmp);
+        assert_cdf_builds_agree(&sn, &xs)?;
+        xs.reverse();
+        assert_cdf_builds_agree(&sn, &xs)?;
+        shuffle(&mut xs, seed);
+        assert_cdf_builds_agree(&sn, &xs)?;
+    }
+
+    #[test]
+    fn lvf2_cdf_builds_agree(
+        lambda in 0.0..1.0f64,
+        a1 in -60.0..60.0f64,
+        a2 in -60.0..60.0f64,
+        zs in proptest::collection::vec(-40.0..40.0f64, 0..300),
+    ) {
+        let d = Lvf2::new(
+            lambda,
+            SkewNormal::new(0.0, 1.0, a1).expect("valid"),
+            SkewNormal::new(1.5, 0.5, a2).expect("valid"),
+        )
+        .expect("valid lambda");
+        let mut xs = probe_points(0.0, 1.0, &zs);
+        xs.sort_by(f64::total_cmp);
+        assert_lvf2_cdf_builds_agree(&d, &xs)?;
     }
 
     #[test]
@@ -466,6 +583,109 @@ fn skew_normal_pdf_builds_agree_where_the_exponent_crosses_the_flush() {
         );
         for offset in 0..8 {
             assert_pdf_builds_agree(&sn, &xs[offset..]).unwrap();
+        }
+    }
+}
+
+/// The skew-normal CDF's builds at every slice length from empty to two
+/// chunks plus three, at every shape of [`cdf_shapes`], on points out to
+/// `|z| = 40` (Owen's T exponent `−h²(1+x²)/2` passes −708 from
+/// `|h| ≈ 26.6`), including `z = 0` and both infinities.
+#[test]
+fn skew_normal_cdf_builds_agree_at_every_length_and_shape() {
+    for alpha in cdf_shapes() {
+        let sn = SkewNormal::new(0.2, 0.7, alpha).expect("valid");
+        for len in 0..=2 * LANES + 3 {
+            let xs: Vec<f64> = (0..len)
+                .map(|i| 0.2 + 0.7 * (-40.0 + 80.0 * i as f64 / (len.max(2) - 1) as f64))
+                .collect();
+            assert_cdf_builds_agree(&sn, &xs).unwrap();
+        }
+        let mut xs: Vec<f64> = (0..=160)
+            .map(|i| 0.2 + 0.7 * (-40.0 + 0.5 * i as f64))
+            .collect();
+        xs.extend([0.2, f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+        for offset in 0..LANES {
+            assert_cdf_builds_agree(&sn, &xs[offset..]).unwrap();
+        }
+    }
+}
+
+/// The two-component CDF batches at every slice length from empty to two
+/// chunks plus three: LVF² over every pair of [`cdf_shapes`] in both
+/// builds, and Norm² against its scalar `cdf`.
+#[test]
+fn two_component_cdf_batches_agree_at_every_length_and_shape() {
+    let shapes = cdf_shapes();
+    let xs_of = |len: usize| -> Vec<f64> {
+        (0..len)
+            .map(|i| -40.0 + 80.0 * i as f64 / (len.max(2) - 1) as f64)
+            .collect()
+    };
+    for &a1 in &shapes {
+        for &a2 in &shapes {
+            let d = Lvf2::new(
+                0.3,
+                SkewNormal::new(0.0, 1.0, a1).expect("valid"),
+                SkewNormal::new(0.5, 0.4, a2).expect("valid"),
+            )
+            .expect("valid");
+            for len in 0..=2 * LANES + 3 {
+                assert_lvf2_cdf_builds_agree(&d, &xs_of(len)).unwrap();
+            }
+        }
+    }
+    let d = Norm2::new(
+        0.3,
+        Normal::new(0.0, 1.0).expect("valid"),
+        Normal::new(0.5, 0.4).expect("valid"),
+    )
+    .expect("valid");
+    for len in 0..=2 * LANES + 3 {
+        let xs = xs_of(len);
+        let mut out = vec![0.0; len];
+        d.cdf_batch(&xs, &mut out);
+        for (&x, &o) in xs.iter().zip(&out) {
+            assert_eq!(o.to_bits(), d.cdf(x).to_bits(), "Norm2 len={len} x={x}");
+        }
+    }
+}
+
+/// The batched skew-normal CDF stays the CDF: within 1e-15 of
+/// `Φ(z) − 2·T(z, α)` summed term by term with libm `exp` (Owen's T as the
+/// 32-node Gauss–Legendre rule it always was), at every shape of
+/// [`cdf_shapes`].
+#[test]
+fn skew_normal_cdf_matches_the_libm_owen_sum() {
+    use lvf2_stats::quad::gauss_legendre_32;
+    use lvf2_stats::special::norm_cdf;
+    let t_core = |h: f64, a: f64| {
+        let f = |x: f64| {
+            let d = 1.0 + x * x;
+            (-0.5 * h * h * d).exp() / d
+        };
+        gauss_legendre_32(f, 0.0, a) / (2.0 * std::f64::consts::PI)
+    };
+    let reference = |z: f64, alpha: f64| {
+        let (h, a) = (z.abs(), alpha.abs());
+        let t = if alpha == 0.0 {
+            0.0
+        } else if a <= 1.0 {
+            t_core(h, a)
+        } else {
+            let (ph, pah) = (norm_cdf(h), norm_cdf(a * h));
+            0.5 * (ph + pah) - ph * pah - t_core(a * h, 1.0 / a)
+        };
+        (norm_cdf(z) - 2.0 * alpha.signum() * t).clamp(0.0, 1.0)
+    };
+    for alpha in cdf_shapes() {
+        let sn = SkewNormal::new(0.0, 1.0, alpha).expect("valid");
+        let xs: Vec<f64> = (0..=800).map(|i| -40.0 + 0.1 * i as f64).collect();
+        let mut out = vec![0.0; xs.len()];
+        sn.cdf_batch(&xs, &mut out);
+        for (&z, &f) in xs.iter().zip(&out) {
+            let want = reference(z, alpha);
+            assert!((f - want).abs() <= 1e-15, "α={alpha} z={z}: {f} vs {want}");
         }
     }
 }
