@@ -32,7 +32,6 @@
 pub mod bins;
 pub mod metrics;
 pub mod pricing;
-pub mod rare;
 pub mod score;
 
 pub use bins::BinSet;
@@ -40,5 +39,4 @@ pub use metrics::{
     binning_error, cdf_rmse, error_reduction, three_sigma_quantile_error, yield_3sigma_error,
 };
 pub use pricing::PriceProfile;
-pub use rare::{importance_tail_probability, mc_tail_probability, TailEstimate};
 pub use score::{score_model, GoldenReference, ModelScore};

@@ -14,7 +14,7 @@ use lvf2::liberty::ast::{Cell, Pin, TimingGroup};
 use lvf2::liberty::{
     parse_library, write_library, BaseKind, Library, LutTemplate, TimingModelGrid,
 };
-use lvf2::mc::{IsConfig, McMode, VariationSpace};
+use lvf2::mc::{McMode, VariationSpace};
 use lvf2::obs::{info, warn, Obs, ObsConfig};
 use lvf2::parallel::{Parallelism, DEFAULT_CHUNK_SIZE};
 use lvf2::stats::Distribution;
@@ -48,7 +48,7 @@ USAGE:
   lvf2 fit FILE|- [--model lvf|norm2|lesn|lvf2] [--fast]
   lvf2 select FILE|- [--max-order K] [--aic]
   lvf2 switch FILE|- --depth N [--threshold X]
-  lvf2 yield FILE|- --target T [--draws N] [--model lvf|norm2|lvf2]
+  lvf2 yield FILE|- --target T [--model lvf|norm2|lesn|lvf2]
   lvf2 sta NETLIST --clock T [--samples N] [--slew S]
   lvf2 ssta [--nodes N] [--depth D] [--width W] [--fanin K] [--reconv P]
             [--seed N] [--family normal|lvf|lvf2] [--threads N] [--bench FILE]
@@ -141,23 +141,18 @@ fn parallelism(opts: &Opts) -> Result<Parallelism, String> {
 }
 
 /// `--mc-mode`/`--is-target-sigma`/`--tail-samples` → [`TailYieldOptions`].
-fn tail_options(opts: &Opts) -> Result<TailYieldOptions, String> {
+fn tail_options(opts: &Opts) -> Result<TailYieldOptions, Box<dyn Error>> {
     let mode: McMode = opts
         .get("mc-mode")
         .map(str::parse)
         .transpose()?
         .unwrap_or_default();
-    let target_sigma: f64 = opts.get_or("is-target-sigma", 3.0)?;
-    if target_sigma.is_nan() || target_sigma <= 0.0 {
-        return Err(format!(
-            "--is-target-sigma must be positive, got {target_sigma}"
-        ));
-    }
-    Ok(TailYieldOptions {
-        mode,
-        samples: opts.get_or("tail-samples", 2000)?,
-        is: IsConfig::default().with_target_sigma(target_sigma),
-    })
+    Ok(lvf2::flow::FlowOptions::builder()
+        .mc_mode(mode)
+        .is_target_sigma(opts.get_or("is-target-sigma", 3.0)?)
+        .tail_samples(opts.get_or("tail-samples", 2000)?)
+        .build()?
+        .tail_options())
 }
 
 /// Prints the per-condition tail-yield table produced by the IS stage.
@@ -793,13 +788,19 @@ pub fn switch(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// `lvf2 yield`: fit a model and estimate the deep-tail failure probability
-/// `P(delay > target)` by importance sampling (plus the plain-MC estimate on
-/// the raw samples for comparison).
+/// `lvf2 yield`: fit a model and print its tail `P(delay > target)`, exact
+/// to the model ([`Distribution::sf`]), next to the share of raw samples past
+/// the target.
 pub fn yield_cmd(args: &[String]) -> CliResult {
-    use lvf2::binning::rare::{importance_tail_probability, shifted_proposal};
-    use rand::SeedableRng;
     let opts = Opts::parse(args);
+    for retired in ["draws", "seed"] {
+        if opts.get(retired).is_some() || opts.flag(retired) {
+            return Err(format!(
+                "--{retired} is no longer accepted: the tail is now exact (the fitted model's sf), not sampled"
+            )
+            .into());
+        }
+    }
     let path = opts
         .positional(0)
         .ok_or("usage: lvf2 yield FILE|- --target T")?;
@@ -809,27 +810,18 @@ pub fn yield_cmd(args: &[String]) -> CliResult {
         .ok_or("--target is required")?
         .parse()
         .map_err(|_| "invalid --target")?;
-    let draws: usize = opts.get_or("draws", 50_000)?;
     let kind: ModelKind = opts.get("model").unwrap_or("lvf2").parse()?;
-    if kind == ModelKind::Lesn {
-        return Err("unknown model `lesn` (lesn has no tail sampler)".into());
-    }
     let fitted = fit_model(kind, &xs, &config(&opts))?;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(opts.get_or("seed", 2024u64)?);
-    let proposal = shifted_proposal(&fitted.model, target)?;
-    let est = importance_tail_probability(&fitted.model, &proposal, target, draws, &mut rng)?;
+    let p = fitted.model.sf(target);
     let raw_fail = xs.iter().filter(|&&x| x > target).count() as f64 / xs.len() as f64;
     println!("model: {kind}; target: {target}");
-    println!(
-        "P(delay > target) = {:.3e} ± {:.1e} (IS, {draws} draws, ESS {:.0})",
-        est.probability, est.std_error, est.effective_samples
-    );
-    println!("yield = {:.6}%", 100.0 * est.yield_fraction());
+    println!("P(delay > target) = {p:.6e} (exact model tail)");
+    println!("yield = {:.6}%", 100.0 * (1.0 - p));
     println!(
         "raw-sample estimate: {raw_fail:.3e} ({} samples{})",
         xs.len(),
         if raw_fail == 0.0 {
-            "; tail unresolvable without IS"
+            "; none past the target"
         } else {
             ""
         }

@@ -561,3 +561,95 @@ fn fit_rejects_non_finite_samples_without_panicking() {
         assert!(stderr.contains("must be finite"), "{model}: {stderr}");
     }
 }
+
+#[test]
+fn yield_prints_the_fitted_models_exact_tail() {
+    use lvf2::stats::Distribution;
+    let dir = tempdir();
+    let samples = dir.join("yield_two_peaks.txt");
+    let out = lvf2()
+        .args(["scenario", "two-peaks", "--samples", "2000", "--seed", "5"])
+        .output()
+        .expect("scenario runs");
+    assert!(out.status.success());
+    std::fs::write(&samples, &out.stdout).expect("write samples");
+    let xs: Vec<f64> = String::from_utf8_lossy(&out.stdout)
+        .split_whitespace()
+        .map(|t| t.parse().expect("sample"))
+        .collect();
+    let path = samples.to_str().expect("utf8");
+    let target = 0.145;
+
+    for (name, kind) in [
+        ("lvf2", lvf2::ModelKind::Lvf2),
+        ("lesn", lvf2::ModelKind::Lesn),
+    ] {
+        let run = lvf2()
+            .args([
+                "yield", path, "--target", "0.145", "--model", name, "--fast",
+            ])
+            .output()
+            .expect("yield runs");
+        let text = String::from_utf8_lossy(&run.stdout);
+        assert!(
+            run.status.success(),
+            "{name}: stderr {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        let printed = text
+            .lines()
+            .find_map(|l| l.strip_prefix("P(delay > target) = "))
+            .and_then(|rest| rest.split_whitespace().next())
+            .unwrap_or_else(|| panic!("{name}: no tail line in {text}"));
+        let p: f64 = printed.parse().expect("tail probability");
+        assert!(p > 0.0, "{name}: {text}");
+        let fitted = lvf2::fit_model(kind, &xs, &lvf2::fit::FitConfig::fast()).expect("fit");
+        assert_eq!(
+            printed,
+            format!("{:.6e}", fitted.model.sf(target)),
+            "{name}"
+        );
+    }
+
+    for retired in ["--draws", "--seed"] {
+        let run = lvf2()
+            .args(["yield", path, "--target", "0.145", retired, "10"])
+            .output()
+            .expect("yield runs");
+        assert!(!run.status.success(), "{retired} accepted");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.contains(retired), "{retired}: {stderr}");
+    }
+}
+
+#[test]
+fn characterize_rejects_tail_options_the_flow_rejects() {
+    let dir = tempdir();
+    let lib = dir.join("bad_tail.lib");
+    for (flag, value, field) in [
+        ("--is-target-sigma", "inf", "is_target_sigma"),
+        ("--tail-samples", "0", "tail_samples"),
+    ] {
+        let out = lvf2()
+            .args([
+                "characterize",
+                "--cell",
+                "INV",
+                "--grid",
+                "3x3",
+                "--samples",
+                "100",
+                "--mc-mode",
+                "is",
+                flag,
+                value,
+                "--out",
+                lib.to_str().expect("utf8"),
+            ])
+            .output()
+            .expect("characterize runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} {value} accepted");
+        assert!(stderr.contains(field), "{flag} {value}: {stderr}");
+    }
+}

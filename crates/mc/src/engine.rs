@@ -146,28 +146,33 @@ impl McEngine {
                     VariationSample::from_standard(&z, &self.space)
                 })
             }
-            SamplingScheme::Plain => {
-                // One RNG stream per fixed-size block of rows: row i's draw
-                // depends only on ⌊i/BLOCK⌋ and its offset, never on the
-                // thread schedule.
-                let n_chunks = Parallelism::chunk_count(n, RNG_BLOCK);
-                let rows = self.par.par_map_indexed(n_chunks, |c| {
-                    let mut rng = StdRng::seed_from_u64(chunk_seed(self.seed, c as u64));
-                    let lo = c * RNG_BLOCK;
-                    let hi = n.min(lo + RNG_BLOCK);
-                    (lo..hi)
-                        .map(|_| {
-                            let mut z = [0.0f64; DIMS];
-                            for zd in z.iter_mut() {
-                                *zd = standard_normal(&mut rng);
-                            }
-                            VariationSample::from_standard(&z, &self.space)
-                        })
-                        .collect::<Vec<_>>()
-                });
-                rows.into_iter().flatten().collect()
-            }
+            SamplingScheme::Plain => self.draw_blocks(|rng| {
+                let mut z = [0.0f64; DIMS];
+                for zd in z.iter_mut() {
+                    *zd = standard_normal(rng);
+                }
+                VariationSample::from_standard(&z, &self.space)
+            }),
         }
+    }
+
+    /// Draws `samples` rows with `row`, one RNG stream per fixed-size block
+    /// of `RNG_BLOCK` rows seeded by [`chunk_seed`]: row i's draw depends
+    /// only on ⌊i/BLOCK⌋ and its offset, never on the thread schedule.
+    fn draw_blocks<T, F>(&self, row: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(&mut StdRng) -> T + Sync,
+    {
+        let n = self.samples;
+        let n_chunks = Parallelism::chunk_count(n, RNG_BLOCK);
+        let rows = self.par.par_map_indexed(n_chunks, |c| {
+            let mut rng = StdRng::seed_from_u64(chunk_seed(self.seed, c as u64));
+            let lo = c * RNG_BLOCK;
+            let hi = n.min(lo + RNG_BLOCK);
+            (lo..hi).map(|_| row(&mut rng)).collect::<Vec<_>>()
+        });
+        rows.into_iter().flatten().collect()
     }
 
     /// Runs the arc over a fresh variation matrix at one (slew, load) point.
@@ -217,23 +222,13 @@ impl McEngine {
     /// weights ≡ 1.
     pub fn draw_proposal(&self, proposal: &IsProposal) -> Vec<(VariationSample, f64)> {
         let _span = Obs::current().span("mc.draw_is");
-        let n = self.samples;
-        let n_chunks = Parallelism::chunk_count(n, RNG_BLOCK);
-        let rows = self.par.par_map_indexed(n_chunks, |c| {
-            let mut rng = StdRng::seed_from_u64(chunk_seed(self.seed, c as u64));
-            let lo = c * RNG_BLOCK;
-            let hi = n.min(lo + RNG_BLOCK);
-            (lo..hi)
-                .map(|_| {
-                    let z = proposal.sample_row(&mut rng);
-                    (
-                        VariationSample::from_standard(&z, &self.space),
-                        proposal.ln_weight(&z),
-                    )
-                })
-                .collect::<Vec<_>>()
-        });
-        rows.into_iter().flatten().collect()
+        self.draw_blocks(|rng| {
+            let z = proposal.sample_row(rng);
+            (
+                VariationSample::from_standard(&z, &self.space),
+                proposal.ln_weight(&z),
+            )
+        })
     }
 
     /// Runs the pilot phase of an importance-sampled run: `cfg.pilot_samples`

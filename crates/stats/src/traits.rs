@@ -202,11 +202,67 @@ pub trait Distribution {
         (0..n).map(|_| self.sample(rng)).collect()
     }
 
-    /// Survival function `P(X > x) = 1 − cdf(x)`.
+    /// Survival function `P(X > x)`, with relative accuracy in the deep
+    /// tail.
+    ///
+    /// While `1 − cdf(x) ≥ 1e-3` it returns `1 − cdf(x)`, which keeps about
+    /// 13 digits there. Beyond that the subtraction cancels (it reads 0 past
+    /// about 8σ on a Gaussian), so it returns the pdf's upper-tail integral
+    /// instead: [`gauss_legendre_32`](crate::quad::gauss_legendre_32) panels
+    /// laid from `x` upward, each as wide as the local decay length
+    /// `1/|d ln f/dx|` allows, capped at σ. It stops when a panel adds less
+    /// than `1e-17` of the running sum, or after a fixed number of panels.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use lvf2_stats::{Distribution, Normal};
+    ///
+    /// # fn main() -> Result<(), lvf2_stats::StatsError> {
+    /// let n = Normal::new(0.0, 1.0)?;
+    /// // P(Z > 9) = 1.1285884059538e-19, where 1 − Φ(9) rounds to 0.
+    /// assert_eq!(1.0 - n.cdf(9.0), 0.0);
+    /// assert!((n.sf(9.0) / 1.1285884059538e-19 - 1.0).abs() < 1e-10);
+    /// # Ok(())
+    /// # }
+    /// ```
     fn sf(&self, x: f64) -> f64 {
-        1.0 - self.cdf(x)
+        let upper = 1.0 - self.cdf(x);
+        if upper >= SF_DIRECT_MIN || x == f64::INFINITY {
+            return upper;
+        }
+        let sigma = self.std_dev();
+        let probe = SF_SLOPE_PROBE * sigma;
+        let mut a = x;
+        let mut sum = 0.0;
+        for _ in 0..SF_MAX_PANELS {
+            let decay = probe / (self.ln_pdf(a) - self.ln_pdf(a + probe)).abs();
+            let h = if decay > 0.0 { decay.min(sigma) } else { sigma };
+            let panel = crate::quad::gauss_legendre_32(|t| self.pdf(t), a, a + h);
+            sum += panel;
+            a += h;
+            if !(panel > SF_STOP * sum) {
+                break;
+            }
+        }
+        sum
     }
 }
+
+/// Below this value of `1 − cdf`, [`Distribution::sf`] integrates the pdf
+/// instead of subtracting.
+const SF_DIRECT_MIN: f64 = 1e-3;
+
+/// Step, in σ, of the finite difference that estimates the slope of
+/// `ln pdf` at the start of each tail panel.
+const SF_SLOPE_PROBE: f64 = 1e-3;
+
+/// A tail panel that adds less than this share of the running sum ends the
+/// integral.
+const SF_STOP: f64 = 1e-17;
+
+/// Panel budget of the tail integral.
+const SF_MAX_PANELS: usize = 200;
 
 #[cfg(test)]
 mod tests {
