@@ -1,14 +1,13 @@
-//! Graph-scale SSTA bench: CSR wavefront propagation across netlist sizes.
+//! Graph-scale SSTA bench: CSR propagation across netlist sizes.
 //!
 //! Sweeps generated netlists of {10³, 10⁴, 10⁵} nodes (`--full` adds the
 //! 10⁶-node point of the paper-scale sweep), propagating each through the
-//! CSR engine serially and with a parallel wavefront. The default delay
+//! CSR engine serially and in parallel (nodes released by their fan-in). The default delay
 //! family is `normal` — closed-form operators (Clark's max), so the sweep
 //! measures the graph engine; `--family lvf2` switches every edge to the
 //! paper's mixture model, whose quadrature-based max makes each node ~1,000×
 //! more expensive (~110 µs against ~0.1 µs serially at 10³ nodes on a 2-core
-//! Xeon host; the per-node cost that makes the wavefront parallelism pay
-//! off).
+//! Xeon host; the per-node cost that makes the parallelism pay off).
 //! Writes a
 //! `lvf2-bench-v1` summary (`BENCH_ssta.json`) carrying, per size `N`:
 //!
@@ -24,8 +23,10 @@
 //! - `thread_determinism` — 1.0 iff arrivals are bit-identical at 1, 2 and
 //!   `--threads` threads (also asserted: a mismatch aborts the bench).
 //!
-//! Per-level wall time and width land in the embedded metrics snapshot as
-//! the `ssta.level.wall_us` / `ssta.level.width` histograms.
+//! The embedded metrics snapshot carries the `ssta.level.width` histogram
+//! (one sample per reached level) and, per propagation, `ssta.depth` and
+//! `ssta.sched.wait_us`: the time workers spent blocked on the ready stack
+//! of the dependency-driven scheduler, summed over workers.
 //!
 //! The ≥5× 8-thread speedup acceptance gate is asserted only when the host
 //! actually has ≥ 8 cores (`--assert-speedup X` overrides the threshold);

@@ -23,6 +23,23 @@
 //! here is `std::thread::scope` with an atomic chunk cursor: claimed chunks
 //! run to completion, unclaimed chunks are skipped once an error is seen.
 //!
+//! # Task DAGs
+//!
+//! [`Parallelism::try_par_dag`] runs tasks that read each other's outputs
+//! (SSTA arrival propagation): one scope per call, a task released the
+//! moment its last predecessor finishes, no barrier between levels. Its
+//! contract extends the two properties above:
+//!
+//! - **Ordering.** Task indices are a topological order. Outputs come back
+//!   in index order, and a task that is a pure function of its
+//!   predecessors' outputs gives the same bits at any thread count.
+//! - **Errors.** The error of the lowest-index failing task, as from a
+//!   serial loop in index order. A failed task releases no successor, so
+//!   nothing downstream of it runs.
+//! - **Panics.** A panicking task halts the other workers, which stop
+//!   waiting for tasks that will never be released, and the panic resumes
+//!   out of the call with its own payload.
+//!
 //! ```
 //! use lvf2_parallel::Parallelism;
 //!
@@ -39,6 +56,10 @@
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+mod dag;
+
+pub use dag::{DagOutputs, DagRun};
 
 /// Environment variable overriding the auto-detected thread count.
 pub const THREADS_ENV: &str = "LVF2_THREADS";

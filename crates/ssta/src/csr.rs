@@ -1,4 +1,4 @@
-//! Arena/CSR timing-graph representation with levelized parallel wavefront
+//! Arena/CSR timing-graph representation with dependency-driven parallel
 //! propagation — the graph-scale engine behind [`TimingGraph`].
 //!
 //! The edge-list [`TimingGraph`] is the right *construction* API (append an
@@ -12,7 +12,14 @@
 //!   edge ids as a contiguous `u32` slice (classic compressed-sparse-row);
 //! - **Kahn levelization into wavefronts**: level of a node = longest edge
 //!   path from any root, so every node's predecessors live in strictly
-//!   earlier levels and one level is an embarrassingly parallel batch.
+//!   earlier levels.
+//!
+//! Wavefronts remain the graph's shape and its telemetry (level count,
+//! widths, the order errors are reported in), but they are no longer the
+//! unit of parallel work. [`CsrGraph::propagate`] hands the nodes, in level
+//! order, to [`Parallelism::try_par_dag`]: one set of workers per
+//! propagation, and a node runs as soon as its last fan-in has finished,
+//! with no barrier between levels.
 //!
 //! # Determinism contract
 //!
@@ -25,20 +32,15 @@
 //! same contract `lvf2-parallel` gives the MC and fitting pipelines. The
 //! edge-scanning serial reference ([`TimingGraph::arrival_times_reference`])
 //! implements the identical contract over the raw edge list and is what the
-//! equivalence proptests compare against.
+//! equivalence proptests compare against. A failing operator reports the
+//! error of the failing node that comes first in level order, and no node
+//! downstream of it runs.
 
-use std::time::Instant;
-
-use lvf2_parallel::Parallelism;
+use lvf2_parallel::{DagOutputs, Parallelism};
 
 use crate::dist::TimingDist;
 use crate::error::SstaError;
 use crate::graph::TimingGraph;
-
-/// Below this many nodes a level is propagated inline: spawning workers for
-/// a handful of sum/max ops costs more than it saves. Purely a performance
-/// knob — results are bit-identical either way.
-const PAR_LEVEL_MIN_WIDTH: usize = 32;
 
 /// A timing DAG compiled to compressed-sparse-row form, levelized into
 /// wavefronts, ready for parallel arrival propagation.
@@ -88,7 +90,13 @@ pub struct CsrGraph {
     /// level-`l` node originates in a level `< l`.
     level_off: Vec<u32>,
     level_nodes: Vec<u32>,
+    /// Position of each node in `level_nodes`: its task index in
+    /// [`CsrGraph::propagate`].
+    level_rank: Vec<u32>,
 }
+
+/// One node's pulled arrival with the (sum, max) op counts it spent.
+type Pulled = (Option<TimingDist>, u64, u64);
 
 /// Arrival times plus the propagation telemetry the benches report.
 #[derive(Debug, Clone, PartialEq)]
@@ -181,6 +189,10 @@ impl CsrGraph {
         if level_nodes.len() != nodes {
             return Err(SstaError::GraphCycle);
         }
+        let mut level_rank = vec![0u32; nodes];
+        for (k, &n) in level_nodes.iter().enumerate() {
+            level_rank[n as usize] = k as u32;
+        }
         Ok(CsrGraph {
             nodes,
             edge_from,
@@ -192,6 +204,7 @@ impl CsrGraph {
             fanout_edges,
             level_off,
             level_nodes,
+            level_rank,
         })
     }
 
@@ -244,27 +257,26 @@ impl CsrGraph {
     }
 
     /// Pulls one node's arrival from its predecessors (see the module-level
-    /// determinism contract). Returns the new arrival plus the (sum, max)
-    /// op counts it spent.
-    fn pull_arrival(
+    /// determinism contract). `arrival(m)` is node `m`'s arrival, `None` for
+    /// the source and unreached nodes. Returns the new arrival plus the
+    /// (sum, max) op counts it spent.
+    fn pull_arrival<'a>(
         &self,
         n: usize,
-        arrivals: &[Option<TimingDist>],
-        reached: &[bool],
-    ) -> Result<(Option<TimingDist>, u64, u64), SstaError> {
+        source: usize,
+        arrival: impl Fn(usize) -> Option<&'a TimingDist>,
+    ) -> Result<Pulled, SstaError> {
         let mut acc: Option<TimingDist> = None;
         let (mut sums, mut maxes) = (0u64, 0u64);
         for &e in self.fanin(n) {
             let from = self.edge_from[e as usize] as usize;
-            if !reached[from] {
-                continue;
-            }
-            let through = match &arrivals[from] {
+            let through = match arrival(from) {
                 Some(a) => {
                     sums += 1;
                     a.sum(&self.delays[e as usize])?
                 }
-                None => self.delays[e as usize].clone(),
+                None if from == source => self.delays[e as usize].clone(),
+                None => continue,
             };
             acc = Some(match acc {
                 Some(existing) => {
@@ -277,8 +289,9 @@ impl CsrGraph {
         Ok((acc, sums, maxes))
     }
 
-    /// Levelized arrival-time propagation from `source`, one parallel batch
-    /// per wavefront.
+    /// Arrival-time propagation from `source`: every node is pulled as soon
+    /// as its fan-in has finished, on `min(threads, peak level width)`
+    /// workers (see the module docs).
     ///
     /// Results are bit-identical at any thread count (and to the serial
     /// edge-scanning reference) — see the module docs for why.
@@ -286,63 +299,51 @@ impl CsrGraph {
     /// # Errors
     ///
     /// [`SstaError::BadNode`] when `source` is outside the graph, plus any
-    /// family/fit error from the statistical operators (the lowest-edge-id
-    /// failure, independent of thread count).
+    /// family/fit error from the statistical operators: that of the failing
+    /// node first in level order, independent of thread count.
     pub fn propagate(&self, source: usize, par: &Parallelism) -> Result<Propagation, SstaError> {
         if source >= self.nodes {
             return Err(SstaError::BadNode { node: source });
         }
         let obs = lvf2_obs::Obs::current();
         let _span = obs.span("ssta.propagate");
+        // Task `k` is node `level_nodes[k]`: level order is a topological
+        // order, and the scheduler's lowest-index error is the first
+        // failure in level order.
+        let rank = |m: usize| self.level_rank[m] as usize;
+        let run = par.try_par_dag(
+            self.nodes,
+            self.peak_level_width(),
+            |k| {
+                self.fanout(self.level_nodes[k] as usize)
+                    .iter()
+                    .map(|&e| rank(self.edge_to[e as usize] as usize))
+            },
+            |k, done: &DagOutputs<'_, Pulled>| {
+                self.pull_arrival(self.level_nodes[k] as usize, source, |m| {
+                    done.get(rank(m)).0.as_ref()
+                })
+            },
+        )?;
+        obs.observe_time("ssta.sched.wait_us", run.wait.as_secs_f64() * 1e6);
+
         let mut arrivals: Vec<Option<TimingDist>> = vec![None; self.nodes];
-        let mut reached = vec![false; self.nodes];
-        reached[source] = true;
         let (mut sums, mut maxes) = (0u64, 0u64);
         let mut active_levels = 0usize;
         let mut peak_level_width = 0usize;
-
+        let mut pulled = run.outputs.into_iter();
         for l in 0..self.level_count() {
-            let level = self.level(l);
-            // Skip levels with no reachable work — cheap scan, and it keeps
-            // sparse sub-DAG propagation (one path through a huge graph)
-            // from paying a thread barrier per untouched level.
-            let any_live = level.iter().any(|&n| {
-                self.fanin(n as usize)
-                    .iter()
-                    .any(|&e| reached[self.edge_from[e as usize] as usize])
-            });
-            if !any_live {
-                continue;
-            }
-            let _level_span = obs.span("ssta.level");
-            let t0 = Instant::now();
-            let results: Vec<(Option<TimingDist>, u64, u64)> =
-                if level.len() < PAR_LEVEL_MIN_WIDTH || par.effective_threads() <= 1 {
-                    let mut out = Vec::with_capacity(level.len());
-                    for &n in level {
-                        out.push(self.pull_arrival(n as usize, &arrivals, &reached)?);
-                    }
-                    out
-                } else {
-                    par.try_par_map_indexed(level.len(), |i| {
-                        self.pull_arrival(level[i] as usize, &arrivals, &reached)
-                    })?
-                };
             let mut width = 0usize;
-            for (&n, (arrival, s, m)) in level.iter().zip(results) {
+            for (&n, (arrival, s, m)) in self.level(l).iter().zip(pulled.by_ref()) {
                 sums += s;
                 maxes += m;
-                if arrival.is_some() {
-                    reached[n as usize] = true;
-                    width += 1;
-                }
+                width += usize::from(arrival.is_some());
                 arrivals[n as usize] = arrival;
             }
             if width > 0 {
                 active_levels += 1;
                 peak_level_width = peak_level_width.max(width);
                 obs.observe("ssta.level.width", width as f64);
-                obs.observe_time("ssta.level.wall_us", t0.elapsed().as_secs_f64() * 1e6);
             }
         }
         obs.inc("ssta.ops.sum", sums);
