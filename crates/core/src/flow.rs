@@ -495,43 +495,57 @@ pub fn characterize_arc_models(
 
 /// Assembles fitted arc models into one Liberty library — pure bookkeeping,
 /// no Monte-Carlo and no fitting. `grid` must be the grid the models were
-/// characterized on (it names the LUT template).
+/// characterized on (it names the LUT template). The library is
+/// [`library_shell`] with one [`arc_cell`] per model.
 pub fn library_from_models(models: &[ArcModelGrids], grid: &SlewLoadGrid) -> Library {
+    let mut lib = library_shell(grid);
+    let template = lib.templates[0].name.clone();
+    lib.cells = models.iter().map(|m| arc_cell(m, &template)).collect();
+    lib
+}
+
+/// The library that arcs characterized on `grid` go into, without cells:
+/// its name and the one LUT template (`templates[0]`) that every
+/// [`arc_cell`] table names.
+pub fn library_shell(grid: &SlewLoadGrid) -> Library {
     let lib_meta = CellLibrary::tsmc22_like();
-    let template = format!(
-        "delay_template_{}x{}",
-        grid.slews().len(),
-        grid.loads().len()
-    );
     let mut lib = Library::new(lib_meta.name().to_string());
     lib.templates.push(LutTemplate {
-        name: template.clone(),
+        name: format!(
+            "delay_template_{}x{}",
+            grid.slews().len(),
+            grid.loads().len()
+        ),
         index_1: grid.slews().to_vec(),
         index_2: grid.loads().to_vec(),
     });
-    for m in models {
-        let mut tables = Vec::new();
-        tables.extend(m.delay.to_tables(&template));
-        tables.extend(m.transition.to_tables(&template));
-        lib.cells.push(Cell {
-            name: format!(
-                "{}_X{}_arc{}",
-                m.spec.id.cell.name(),
-                m.spec.drive,
-                m.spec.id.index
-            ),
-            pins: vec![Pin {
-                name: "Y".into(),
-                direction: "output".into(),
-                timings: vec![TimingGroup {
-                    related_pin: "A".into(),
-                    tables,
-                    ..Default::default()
-                }],
-            }],
-        });
-    }
     lib
+}
+
+/// One arc's Liberty cell group: output pin `Y`, one timing group related
+/// to `A` carrying the delay and transition table stacks, every table on
+/// the LUT template named `template`.
+pub fn arc_cell(m: &ArcModelGrids, template: &str) -> Cell {
+    let mut tables = Vec::new();
+    tables.extend(m.delay.to_tables(template));
+    tables.extend(m.transition.to_tables(template));
+    Cell {
+        name: format!(
+            "{}_X{}_arc{}",
+            m.spec.id.cell.name(),
+            m.spec.drive,
+            m.spec.id.index
+        ),
+        pins: vec![Pin {
+            name: "Y".into(),
+            direction: "output".into(),
+            timings: vec![TimingGroup {
+                related_pin: "A".into(),
+                tables,
+                ..Default::default()
+            }],
+        }],
+    }
 }
 
 /// Characterizes `cells` and returns a Liberty library with one cell group

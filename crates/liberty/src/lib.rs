@@ -45,4 +45,4 @@ pub use ast::{BaseKind, Library, LutTemplate, StatKind, TableKind, TimingTable};
 pub use error::LibertyError;
 pub use model::{Lvf2Entry, MixtureModelGrid, TimingModelGrid};
 pub use parser::parse_library;
-pub use writer::write_library;
+pub use writer::{write_cell, write_footer, write_header, write_library};

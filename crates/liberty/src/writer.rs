@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use crate::ast::{Library, TimingTable};
+use crate::ast::{Cell, Library, TimingTable};
 
 /// Appends `values` as `v1, v2, …`, each in `f64`'s shortest round-trip
 /// form, formatted straight into `out`.
@@ -52,6 +52,10 @@ fn write_table(out: &mut String, indent: &str, table: &TimingTable) {
 /// Emits a [`Library`] as Liberty text that [`crate::parse_library`] reads
 /// back unchanged (round-trip safe for the modeled subset).
 ///
+/// The text is [`write_header`], then [`write_cell`] for each cell, then
+/// [`write_footer`]; callers that keep rendered cell groups around (the
+/// daemon's warm hits) assemble the same bytes from those three pieces.
+///
 /// # Example
 ///
 /// ```
@@ -65,6 +69,18 @@ pub fn write_library(lib: &Library) -> String {
     let _span = obs.span("liberty.write");
     obs.inc("liberty.cells_written", lib.cells.len() as u64);
     let mut out = String::new();
+    write_header(&mut out, lib);
+    for cell in &lib.cells {
+        write_cell(&mut out, cell);
+    }
+    write_footer(&mut out);
+    out
+}
+
+/// Appends the library group's opening line, its unit attributes and its
+/// LUT templates — everything of [`write_library`]'s text before the first
+/// cell. `lib.cells` is not read.
+pub fn write_header(out: &mut String, lib: &Library) {
     let _ = writeln!(out, "library ({}) {{", lib.name);
     let _ = writeln!(out, "  delay_model : table_lookup;");
     let _ = writeln!(out, "  time_unit : \"1ns\";");
@@ -73,41 +89,46 @@ pub fn write_library(lib: &Library) -> String {
         let _ = writeln!(out, "  lu_table_template ({}) {{", t.name);
         let _ = writeln!(out, "    variable_1 : input_net_transition;");
         let _ = writeln!(out, "    variable_2 : total_output_net_capacitance;");
-        write_index(&mut out, "    ", "index_1", &t.index_1);
-        write_index(&mut out, "    ", "index_2", &t.index_2);
+        write_index(out, "    ", "index_1", &t.index_1);
+        write_index(out, "    ", "index_2", &t.index_2);
         let _ = writeln!(out, "  }}");
     }
-    for cell in &lib.cells {
-        let _ = writeln!(out, "  cell ({}) {{", cell.name);
-        for pin in &cell.pins {
-            let _ = writeln!(out, "    pin ({}) {{", pin.name);
-            let _ = writeln!(out, "      direction : {};", pin.direction);
-            for timing in &pin.timings {
-                let _ = writeln!(out, "      timing () {{");
-                let _ = writeln!(out, "        related_pin : \"{}\";", timing.related_pin);
-                if let Some(when) = &timing.when {
-                    let _ = writeln!(out, "        when : \"{when}\";");
-                }
-                if let Some(sense) = &timing.timing_sense {
-                    let _ = writeln!(out, "        timing_sense : {sense};");
-                }
-                for table in &timing.tables {
-                    write_table(&mut out, "        ", table);
-                }
-                let _ = writeln!(out, "      }}");
+}
+
+/// Appends one `cell (…) { … }` group, indented for a library body.
+pub fn write_cell(out: &mut String, cell: &Cell) {
+    let _ = writeln!(out, "  cell ({}) {{", cell.name);
+    for pin in &cell.pins {
+        let _ = writeln!(out, "    pin ({}) {{", pin.name);
+        let _ = writeln!(out, "      direction : {};", pin.direction);
+        for timing in &pin.timings {
+            let _ = writeln!(out, "      timing () {{");
+            let _ = writeln!(out, "        related_pin : \"{}\";", timing.related_pin);
+            if let Some(when) = &timing.when {
+                let _ = writeln!(out, "        when : \"{when}\";");
             }
-            let _ = writeln!(out, "    }}");
+            if let Some(sense) = &timing.timing_sense {
+                let _ = writeln!(out, "        timing_sense : {sense};");
+            }
+            for table in &timing.tables {
+                write_table(out, "        ", table);
+            }
+            let _ = writeln!(out, "      }}");
         }
-        let _ = writeln!(out, "  }}");
+        let _ = writeln!(out, "    }}");
     }
-    let _ = writeln!(out, "}}");
-    out
+    let _ = writeln!(out, "  }}");
+}
+
+/// Appends the `}` that closes the library group.
+pub fn write_footer(out: &mut String) {
+    out.push_str("}\n");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{BaseKind, Cell, Pin, StatKind, TableKind, TimingGroup};
+    use crate::ast::{BaseKind, Pin, StatKind, TableKind, TimingGroup};
     use crate::parser::parse_library;
 
     fn sample_library() -> Library {
@@ -165,6 +186,24 @@ mod tests {
         let text = write_library(&sample_library());
         assert!(text.contains("ocv_weight2_cell_fall (t2x2)"));
         assert!(text.contains("index_1 (\"0.01, 0.02\");"));
+    }
+
+    #[test]
+    fn library_is_header_then_cell_groups_then_close() {
+        let mut lib = sample_library();
+        let mut second = lib.cells[0].clone();
+        second.name = "INV_X1".into();
+        second.pins[0].timings[0].when = Some("!B".into());
+        second.pins[0].timings[0].timing_sense = Some("negative_unate".into());
+        lib.cells.push(second);
+        let mut pieces = String::new();
+        write_header(&mut pieces, &lib);
+        for cell in &lib.cells {
+            write_cell(&mut pieces, cell);
+        }
+        write_footer(&mut pieces);
+        assert_eq!(write_library(&lib), pieces);
+        assert!(pieces.ends_with("  }\n}\n"));
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! computation, two bit-identical answers. The cache is capacity-bounded
 //! with insertion-order eviction of completed entries.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use lvf2::cells::TimingArcSpec;
@@ -186,7 +186,7 @@ enum Slot<V> {
 struct Inner<V> {
     map: HashMap<u64, Slot<V>>,
     /// Completed keys in insertion order (eviction order).
-    order: Vec<u64>,
+    order: VecDeque<u64>,
     /// Cell-name tag per key, for selective invalidation.
     tags: HashMap<u64, &'static str>,
     hits: u64,
@@ -234,7 +234,7 @@ impl<V> SingleFlightCache<V> {
         SingleFlightCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
-                order: Vec::new(),
+                order: VecDeque::new(),
                 tags: HashMap::new(),
                 hits: 0,
                 misses: 0,
@@ -304,15 +304,7 @@ impl<V> SingleFlightCache<V> {
                 let mut inner = self.lock();
                 inner.map.insert(key, Slot::Ready(Arc::clone(&v)));
                 inner.tags.insert(key, tag);
-                inner.order.push(key);
-                while inner.order.len() > self.capacity {
-                    let victim = inner.order.remove(0);
-                    if victim != key {
-                        inner.map.remove(&victim);
-                        inner.tags.remove(&victim);
-                        inner.evictions += 1;
-                    }
-                }
+                self.push_completed(&mut inner, key);
                 drop(inner);
                 self.ready.notify_all();
                 Ok((v, false))
@@ -339,16 +331,21 @@ impl<V> SingleFlightCache<V> {
         }
         inner.map.insert(key, Slot::Ready(Arc::new(value)));
         inner.tags.insert(key, tag);
-        inner.order.push(key);
+        self.push_completed(&mut inner, key);
+        true
+    }
+
+    /// Appends a completed `key` to the eviction order and evicts the
+    /// oldest completed entries beyond the capacity.
+    fn push_completed(&self, inner: &mut Inner<V>, key: u64) {
+        inner.order.push_back(key);
         while inner.order.len() > self.capacity {
-            let victim = inner.order.remove(0);
-            if victim != key {
+            if let Some(victim) = inner.order.pop_front().filter(|&v| v != key) {
                 inner.map.remove(&victim);
                 inner.tags.remove(&victim);
                 inner.evictions += 1;
             }
         }
-        true
     }
 
     /// Locks the cache, recovering from a poisoned mutex: every mutation
@@ -376,7 +373,7 @@ impl<V> SingleFlightCache<V> {
     /// Returns how many entries were dropped.
     pub fn invalidate_tag(&self, tag: &str) -> usize {
         let mut inner = self.lock();
-        let victims: Vec<u64> = inner
+        let victims: HashSet<u64> = inner
             .tags
             .iter()
             .filter(|(_, t)| **t == tag)
@@ -388,6 +385,16 @@ impl<V> SingleFlightCache<V> {
         }
         inner.order.retain(|k| !victims.contains(k));
         victims.len()
+    }
+
+    /// How many completed entries satisfy `pred`, at one point in time.
+    pub fn count_ready(&self, pred: impl Fn(&V) -> bool) -> usize {
+        let inner = self.lock();
+        inner
+            .map
+            .values()
+            .filter(|slot| matches!(slot, Slot::Ready(v) if pred(v)))
+            .count()
     }
 
     /// Point-in-time statistics.
